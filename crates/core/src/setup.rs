@@ -30,14 +30,8 @@
 //! * [`Scenario::chaos`] — a `wsn_chaos::FaultPlan` carried on the
 //!   returned handle; drive it with [`NetworkHandle::run_chaos`] once
 //!   the steady-state workload is queued.
-//! * [`Scenario::backend`] — which engine runs the network: the
-//!   discrete-event simulator (single-heap or spatially sharded, see
-//!   [`Backend::Sim`]) or the `wsn-net` loopback transport
-//!   (`wsn_net::run_scenario` consumes the scenario for that path).
-//!
-//! Construction — topology, provisioning, app building — is shared by
-//! every backend through [`Deployment`], so a differential test comparing
-//! two backends starts from literally the same network.
+//! * [`Scenario::backend`] — which simulator engine runs the key-setup
+//!   phase: single-heap or spatially sharded (see [`Backend::Sim`]).
 //!
 //! # Migrating from the `run_setup_*` ladder
 //!
@@ -120,11 +114,6 @@ pub enum Backend {
         /// Region-count selector for the sharded engine.
         shards: Shards,
     },
-    /// The in-process loopback transport backend (`wsn-net`), exercising
-    /// the real datagram framing path. A `Scenario` with this backend is
-    /// consumed by `wsn_net::run_scenario`, which routes construction
-    /// through [`Scenario::into_deployment`].
-    Loopback,
 }
 
 impl Default for Backend {
@@ -133,34 +122,6 @@ impl Default for Backend {
             shards: Shards::Single,
         }
     }
-}
-
-/// A constructed-but-not-yet-run network: the topology, the provisioned
-/// apps, and the authorities every backend needs. This is the shared
-/// product of [`Scenario`]'s construction phase — the simulator backends
-/// and the `wsn-net` loopback backend all start from one of these, which
-/// is what makes cross-backend differential tests compare the *same*
-/// network rather than two builder code paths.
-pub struct Deployment {
-    /// Deployed topology: sinks on their deterministic grid, sensors
-    /// uniform at random.
-    pub topo: Topology,
-    /// One app per node, in node-id order.
-    pub apps: Vec<ProtocolApp>,
-    /// The provisioning authority (registry complete for all `n` nodes).
-    pub provisioner: Provisioner,
-    /// The protocol configuration in force.
-    pub cfg: ProtocolConfig,
-    /// Number of sinks (1 when the multi-sink subsystem is off).
-    pub n_sinks: u32,
-    /// The scenario's master seed; engines derive their sub-streams from
-    /// it (`derive_seed(seed, 2)` is the event-engine stream by
-    /// convention).
-    pub seed: u64,
-    /// The radio model.
-    pub radio: RadioConfig,
-    /// Trace sink to install before the first event, if tracing.
-    pub sink: Option<Box<dyn wsn_trace::TraceSink>>,
 }
 
 /// The unified experiment entry point: composes radio model, tracing,
@@ -204,11 +165,6 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// The backend this scenario will run on.
-    pub fn backend_kind(&self) -> Backend {
-        self.backend
-    }
-
     /// The radio model this scenario will deploy with.
     pub fn radio_config(&self) -> &RadioConfig {
         &self.radio
@@ -242,30 +198,11 @@ impl<'a> Scenario<'a> {
         self
     }
 
-    /// Consumes the scenario, returning the constructed-but-not-yet-run
-    /// network. This is the construction half of [`Scenario::run`],
-    /// exposed so non-simulator backends (the `wsn-net` loopback) build
-    /// the *same* network the simulator would. Attack hooks and fault
-    /// plans are simulator-engine features, so a scenario carrying one
-    /// cannot be lowered to a bare deployment.
-    pub fn into_deployment(self) -> Deployment {
-        assert!(
-            self.attack.is_none(),
-            "attack hooks are simulator-only; keep Backend::Sim"
-        );
-        assert!(
-            self.chaos.is_none(),
-            "fault plans are simulator-only; keep Backend::Sim"
-        );
-        Self::build_deployment(self.params, self.radio, self.sink)
-    }
-
-    /// Shared construction: topology, provisioning, one app per node.
-    fn build_deployment(
-        params: SetupParams,
-        radio: RadioConfig,
-        sink: Option<Box<dyn wsn_trace::TraceSink>>,
-    ) -> Deployment {
+    /// Shared construction: the topology (sinks on their deterministic
+    /// grid, sensors uniform at random), one app per node in node-id
+    /// order, the provisioning authority (registry complete for all `n`
+    /// nodes) and the sink count (1 when the multi-sink subsystem is off).
+    fn deploy(params: &SetupParams) -> (Topology, Vec<ProtocolApp>, Provisioner, u32) {
         assert!(params.n >= 2, "need a base station and at least one sensor");
         // Multi-sink: node ids 0..K are sinks on a deterministic grid;
         // with sinks disabled this is exactly the legacy random topology.
@@ -329,46 +266,32 @@ impl<'a> Scenario<'a> {
             })
             .collect();
 
-        Deployment {
-            topo,
-            apps,
-            provisioner,
-            cfg,
-            n_sinks,
-            seed: params.seed,
-            radio,
-            sink,
-        }
+        (topo, apps, provisioner, n_sinks)
     }
 
     /// Runs initialization + cluster key setup + link establishment +
     /// `Km` erasure on a fresh random deployment.
     pub fn run(self) -> SetupOutcome {
-        let shards = match self.backend {
-            Backend::Sim { shards } => shards,
-            Backend::Loopback => panic!(
-                "Scenario::run drives the simulator; use wsn_net::run_scenario for Backend::Loopback"
-            ),
-        };
-        let attack = self.attack;
-        let chaos = self.chaos;
-        let dep = Self::build_deployment(self.params, self.radio, self.sink);
-        let n = dep.topo.n();
-        let seed = dep.seed;
-        let cfg = dep.cfg;
-        let n_sinks = dep.n_sinks;
-        let provisioner = dep.provisioner;
+        let Scenario {
+            params,
+            radio,
+            sink: trace,
+            attack,
+            chaos,
+            backend: Backend::Sim { shards },
+        } = self;
+        let (topo, apps, provisioner, n_sinks) = Self::deploy(&params);
+        let SetupParams { n, seed, cfg, .. } = params;
 
-        let mut pool: Vec<Option<ProtocolApp>> = dep.apps.into_iter().map(Some).collect();
+        let mut pool: Vec<Option<ProtocolApp>> = apps.into_iter().map(Some).collect();
         let sim = match shards.region_count() {
             None => {
                 // Legacy single-heap engine: the default, and the only
                 // engine that supports pre-run attack hooks.
-                let mut sim =
-                    Simulator::with_config(dep.topo, dep.radio, derive_seed(seed, 2), |id| {
-                        pool[id as usize].take().expect("app built once")
-                    });
-                if let Some(sink) = dep.sink {
+                let mut sim = Simulator::with_config(topo, radio, derive_seed(seed, 2), |id| {
+                    pool[id as usize].take().expect("app built once")
+                });
+                if let Some(sink) = trace {
                     sim.install_trace_boxed(sink);
                 }
                 if let Some(attack) = attack {
@@ -387,14 +310,11 @@ impl<'a> Scenario<'a> {
                     attack.is_none(),
                     "attack hooks require the single-heap engine (Shards::Single)"
                 );
-                let mut sharded = ShardedSimulator::new(
-                    dep.topo,
-                    dep.radio.clone(),
-                    derive_seed(seed, 2),
-                    k,
-                    |id| pool[id as usize].take().expect("app built once"),
-                );
-                let tracing = dep.sink.is_some();
+                let mut sharded =
+                    ShardedSimulator::new(topo, radio.clone(), derive_seed(seed, 2), k, |id| {
+                        pool[id as usize].take().expect("app built once")
+                    });
+                let tracing = trace.is_some();
                 if tracing {
                     sharded.enable_trace();
                 }
@@ -405,14 +325,14 @@ impl<'a> Scenario<'a> {
                 let (topo, apps, counters) = sharded.into_parts();
                 let mut sim = Simulator::from_parts_at(
                     topo,
-                    dep.radio,
+                    radio,
                     derive_seed(seed, 5),
                     end,
                     apps,
                     counters,
                     events,
                 );
-                if let (Some(mut sink), Some(records)) = (dep.sink, records) {
+                if let (Some(mut sink), Some(records)) = (trace, records) {
                     let next_seq = records.len() as u64;
                     for rec in records {
                         sink.record(rec);

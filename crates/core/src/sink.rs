@@ -254,9 +254,8 @@ pub fn sink_positions(k: u32, side: f64) -> Vec<Point> {
         .collect()
 }
 
-/// The shared topology constructor for multi-sink runs, used by both
-/// the simulator scenario and the loopback backend so their worlds are
-/// identical. With sinks disabled this is exactly
+/// The topology constructor for multi-sink runs, used by the
+/// simulator scenario. With sinks disabled this is exactly
 /// `Topology::random(with_density(n, density), seed)` — byte-identical
 /// with pre-multi-sink builds. With sinks enabled, the first
 /// `sinks.count` node positions are overridden by the deterministic

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use wsn_core::prelude::*;
+use wsn_core::routing::NO_GRADIENT;
 use wsn_core::setup::SetupParams;
 
 fn multi_sink_outcome(n: usize, k: u32, seed: u64) -> NetworkHandle {
@@ -123,14 +124,28 @@ fn sink_failover_conserves_key_entries() {
         assert_ne!(now_at, 1, "node {node} still homed at the dead sink");
     }
 
-    // Survivors re-beacon, nodes re-learn gradients, traffic still flows.
+    // Survivors re-beacon (the dead sink stays silent), nodes re-learn
+    // gradients with no path left to the dead sink, traffic still flows.
     h.establish_gradient();
+    for id in h.sensor_ids() {
+        assert_eq!(
+            h.sensor(id).sink_table().hops_to(1),
+            NO_GRADIENT,
+            "node {id} still routes to the dead sink"
+        );
+    }
     h.rehome_to_nearest();
     let before = h.total_received();
+    let dead_before = h.sink(1).received.len();
     for id in h.sensor_ids() {
         h.send_reading(id, vec![0xCD, id as u8], true);
     }
     assert!(h.total_received() > before, "no delivery after failover");
+    assert_eq!(
+        h.sink(1).received.len(),
+        dead_before,
+        "dead sink accepted a post-kill reading"
+    );
 }
 
 /// `with_sinks(1)` uses the multi-sink machinery (grid placement,

@@ -2,15 +2,12 @@
 //!
 //! `wsn-chaos` can crash nodes, partition regions and swap link models —
 //! but only inside the simulator. This module extends seeded fault
-//! schedules to the transport backends: a [`FaultEngine`] decides, per
+//! schedules to the socket path: a [`FaultEngine`] decides, per
 //! datagram, whether to drop, duplicate, reorder, delay or corrupt it,
-//! and two hosts consume those decisions:
-//!
-//! * [`FaultySocket`] wraps a `std::net::UdpSocket` (the load
-//!   generator's send/recv path), holding delayed frames in user space
-//!   and releasing them on later calls;
-//! * [`crate::loopback::LoopbackNet::install_faults`] applies the same
-//!   decisions to the loopback engine's delivery queue.
+//! and [`FaultySocket`] applies those decisions to a `std::net::UdpSocket`
+//! (the load generator's send/recv path and the inter-sink control
+//! plane's socket), holding delayed frames in user space and releasing
+//! them on later calls.
 //!
 //! Determinism is the contract throughout:
 //!
@@ -21,7 +18,7 @@
 //! * The remaining knobs draw from a dedicated engine RNG, and a knob
 //!   that is **off consumes zero draws**: installing a
 //!   [`FaultConfig::disabled`] engine is byte-identical to installing
-//!   none at all (pinned by the `fault_differential` test).
+//!   none at all (pinned by `disabled_engine_single_clean_copy_zero_draws`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -156,8 +153,7 @@ impl ScheduledCopy {
     }
 }
 
-/// The seeded decision core shared by [`FaultySocket`] and the loopback
-/// integration.
+/// The seeded decision core behind [`FaultySocket`].
 pub struct FaultEngine {
     cfg: FaultConfig,
     ge: Option<GilbertElliott>,

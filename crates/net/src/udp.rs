@@ -224,7 +224,7 @@ pub struct UdpServerConfig {
 
 impl UdpServerConfig {
     /// A single-reader, single-worker localhost server — the right
-    /// shape for differential tests and single-core soaks.
+    /// shape for smoke tests and single-core soaks.
     pub fn localhost(base_port: u16, n: usize, seed: u64, cfg: ProtocolConfig) -> Self {
         UdpServerConfig {
             bind: "127.0.0.1".to_string(),
@@ -1023,8 +1023,8 @@ fn worker_loop(
                     .readings_accepted
                     .fetch_add(accepted, Ordering::Relaxed);
                 // Keep shard memory flat under sustained load: the
-                // log's content has been counted; only tests inspect
-                // it, and they run on the loopback backend.
+                // log's content has been counted; only simulator tests
+                // inspect it.
                 bs.received.clear();
             }
             let after = RejectSnapshot::of(&bs);

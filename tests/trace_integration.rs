@@ -4,6 +4,7 @@
 //! simulator's own counters.
 
 use proptest::prelude::*;
+use wsn_core::msg::MAX_FRAME_BYTES;
 use wsn_core::prelude::*;
 use wsn_sim::parallel::{run_trials, Jobs};
 use wsn_trace::{FrameKind, MemorySink, NullSink, Timeline, TraceEvent};
@@ -202,4 +203,45 @@ fn eviction_is_visible_in_the_trace() {
         .filter(|r| matches!(r.event, TraceEvent::ClusterRevoked { .. }))
         .count();
     assert!(revoked > 0, "eviction must leave ClusterRevoked events");
+}
+
+/// Every frame the simulator transmits fits the socket path: the UDP
+/// reactor drops datagrams above `MAX_FRAME_BYTES`, so a larger
+/// simulator frame would be a reading the real deployment loses.
+#[test]
+fn no_oversize_frames_in_normal_operation() {
+    let cfg = ProtocolConfig::default().with_recovery(RecoveryConfig::default());
+    let mut o = Scenario::new(SetupParams {
+        cfg,
+        ..params(60, 10.0, 3)
+    })
+    .trace(MemorySink::new())
+    .run();
+    o.handle.establish_gradient();
+    for src in o.handle.sensor_ids() {
+        if o.handle.sensor(src).role() == Role::Head {
+            o.handle.send_reading(src, vec![0xAB; 64], true);
+        }
+    }
+    let records = o
+        .handle
+        .sim_mut()
+        .take_trace()
+        .expect("sink installed")
+        .drain();
+    let mut frames = 0;
+    for r in &records {
+        if let TraceEvent::TxBroadcast { payload, .. } | TraceEvent::TxUnicast { payload, .. } =
+            &r.event
+        {
+            frames += 1;
+            assert!(
+                payload.len() <= MAX_FRAME_BYTES,
+                "node {} sent a {}-byte frame",
+                r.node,
+                payload.len()
+            );
+        }
+    }
+    assert!(frames > 0, "no frames traced");
 }

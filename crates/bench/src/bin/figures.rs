@@ -260,7 +260,7 @@ fn run_millionnode() {
     // Throughput is a perf artifact, not a figure: record it in
     // BENCH_perf.json, and only from a full-scale run.
     if n >= FULL_N {
-        let shards = wsn_sim::shard::Shards::Auto.region_count().unwrap_or(1);
+        let shards = wsn_sim::shard::Shards::Auto.region_count();
         match merge_million_node("BENCH_perf.json", &million_node_json(&row, shards)) {
             Ok(()) => println!("(perf: updated million_node section of BENCH_perf.json)\n"),
             Err(e) => eprintln!("(perf: BENCH_perf.json not updated: {e})\n"),

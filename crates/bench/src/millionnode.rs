@@ -1,11 +1,11 @@
 //! The million-node experiment: one full key-setup phase at
-//! `n >= 1_000_000` on the sharded simulator backend, reporting both
+//! `n >= 1_000_000` on a multi-region simulator, reporting both
 //! the deterministic protocol outcomes (the figure CSV) and the
 //! machine-dependent throughput numbers (the `million_node` section of
 //! `BENCH_perf.json`).
 //!
 //! Determinism contract: every column of the CSV is
-//! shard-count-independent — the sharded engine produces byte-identical
+//! region-count-independent — the engine produces byte-identical
 //! networks for any `WSN_SHARDS`, and the row carries only
 //! protocol-visible quantities (event counts, virtual time, election
 //! statistics). Wall-clock and events/sec never enter the CSV; they go
@@ -65,9 +65,9 @@ pub struct MillionNodeRow {
     pub events_per_sec: f64,
 }
 
-/// Runs the setup phase at `n` nodes on the sharded backend
-/// (`Shards::Auto`, so `WSN_SHARDS` selects the region count without a
-/// rebuild) and measures it.
+/// Runs the setup phase at `n` nodes on `Shards::Auto` regions (so
+/// `WSN_SHARDS` selects the region count without a rebuild) and
+/// measures it.
 pub fn millionnode_run(n: usize) -> MillionNodeRow {
     let start = Instant::now();
     let outcome = Scenario::new(SetupParams {

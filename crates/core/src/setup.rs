@@ -30,8 +30,8 @@
 //! * [`Scenario::chaos`] — a `wsn_chaos::FaultPlan` carried on the
 //!   returned handle; drive it with [`NetworkHandle::run_chaos`] once
 //!   the steady-state workload is queued.
-//! * [`Scenario::backend`] — which simulator engine runs the key-setup
-//!   phase: single-heap or spatially sharded (see [`Backend::Sim`]).
+//! * [`Scenario::backend`] — how many spatial regions (threads) the
+//!   engine runs the key-setup phase on (see [`Backend::Sim`]).
 //!
 //! # Migrating from the `run_setup_*` ladder
 //!
@@ -71,7 +71,7 @@ use wsn_sim::geom::Point;
 use wsn_sim::net::{Counters, Simulator};
 use wsn_sim::radio::RadioConfig;
 use wsn_sim::rng::derive_seed;
-use wsn_sim::shard::{ShardedSimulator, Shards};
+use wsn_sim::shard::Shards;
 use wsn_sim::topology::{Topology, TopologyConfig};
 
 /// Parameters of one deployment experiment.
@@ -102,16 +102,13 @@ type AttackHook<'a> = Box<dyn FnOnce(&mut Simulator<ProtocolApp>) + 'a>;
 /// Which engine a [`Scenario`] runs its network on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// The discrete-event simulator. `shards` selects the engine variant:
-    /// [`Shards::Single`] (the default) is the legacy single-heap engine
-    /// with the full fault-injection surface; [`Shards::Auto`] /
-    /// [`Shards::Fixed`] run the key-setup phase on the spatially sharded
-    /// engine (`wsn_sim::shard`) and then collapse into the single-heap
-    /// engine for steady state. Sharded setup is byte-identical across
-    /// region counts, but it is a *different* deterministic universe from
-    /// `Single` (per-node RNG streams vs one global stream).
+    /// The discrete-event simulator. `shards` selects how many spatial
+    /// regions (threads) run the key-setup phase; once setup is
+    /// quiescent the regions merge into one, and the steady state runs
+    /// single-threaded. Outputs are byte-identical for every region
+    /// count, [`Shards::Single`] (the default, one region) included.
     Sim {
-        /// Region-count selector for the sharded engine.
+        /// Region-count selector for key setup.
         shards: Shards,
     },
 }
@@ -140,8 +137,8 @@ pub struct Scenario<'a> {
 
 impl<'a> Scenario<'a> {
     /// Starts a scenario from deployment parameters, with the default
-    /// radio, the default backend (single-heap simulator), no tracing,
-    /// no adversary, and no fault plan.
+    /// radio, the default backend (one region), no tracing, no
+    /// adversary, and no fault plan.
     pub fn new(params: SetupParams) -> Self {
         Scenario {
             params,
@@ -163,11 +160,6 @@ impl<'a> Scenario<'a> {
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// The radio model this scenario will deploy with.
-    pub fn radio_config(&self) -> &RadioConfig {
-        &self.radio
     }
 
     /// Installs a trace sink before the first event, so the trace covers
@@ -283,65 +275,24 @@ impl<'a> Scenario<'a> {
         let (topo, apps, provisioner, n_sinks) = Self::deploy(&params);
         let SetupParams { n, seed, cfg, .. } = params;
 
-        let mut pool: Vec<Option<ProtocolApp>> = apps.into_iter().map(Some).collect();
-        let sim = match shards.region_count() {
-            None => {
-                // Legacy single-heap engine: the default, and the only
-                // engine that supports pre-run attack hooks.
-                let mut sim = Simulator::with_config(topo, radio, derive_seed(seed, 2), |id| {
-                    pool[id as usize].take().expect("app built once")
-                });
-                if let Some(sink) = trace {
-                    sim.install_trace_boxed(sink);
-                }
-                if let Some(attack) = attack {
-                    attack(&mut sim);
-                }
-                sim.run();
-                sim
-            }
-            Some(k) => {
-                // Sharded setup, then collapse into the single-heap
-                // engine for steady state. Setup output is identical for
-                // every k, and the collapsed engine re-seeds from stream
-                // 5, so everything downstream is shard-count-independent
-                // too.
-                assert!(
-                    attack.is_none(),
-                    "attack hooks require the single-heap engine (Shards::Single)"
-                );
-                let mut sharded =
-                    ShardedSimulator::new(topo, radio.clone(), derive_seed(seed, 2), k, |id| {
-                        pool[id as usize].take().expect("app built once")
-                    });
-                let tracing = trace.is_some();
-                if tracing {
-                    sharded.enable_trace();
-                }
-                sharded.run();
-                let end = sharded.now();
-                let events = sharded.events_processed();
-                let records = tracing.then(|| sharded.take_merged_trace());
-                let (topo, apps, counters) = sharded.into_parts();
-                let mut sim = Simulator::from_parts_at(
-                    topo,
-                    radio,
-                    derive_seed(seed, 5),
-                    end,
-                    apps,
-                    counters,
-                    events,
-                );
-                if let (Some(mut sink), Some(records)) = (trace, records) {
-                    let next_seq = records.len() as u64;
-                    for rec in records {
-                        sink.record(rec);
-                    }
-                    sim.restore_trace_state((Some(sink), next_seq));
-                }
-                sim
-            }
-        };
+        let mut apps = apps.into_iter();
+        let mut sim = Simulator::with_regions(
+            topo,
+            radio,
+            derive_seed(seed, 2),
+            shards.region_count(),
+            |_| apps.next().expect("one app per node"),
+        );
+        if let Some(sink) = trace {
+            sim.install_trace_boxed(sink);
+        }
+        if let Some(attack) = attack {
+            attack(&mut sim);
+        }
+        sim.run();
+        // Setup is quiescent: fold the regions into one for the
+        // single-threaded steady state.
+        sim.merge_regions();
 
         let setup_counters = sim.counters().clone();
         let report = SetupReport::from_simulation(&sim, &setup_counters);
@@ -722,7 +673,9 @@ impl NetworkHandle {
     }
 
     /// Deploys `k` new sensors at random positions (paper §IV-E) and runs
-    /// the join protocol. Returns the IDs assigned to the new nodes.
+    /// the join protocol. Returns the IDs assigned to the new nodes. The
+    /// engine grows in place: existing nodes, their pending timers and
+    /// any fault state in force carry on untouched.
     pub fn add_nodes(&mut self, k: usize) -> Vec<u32> {
         let old_topo = self.sim.topology();
         let side = old_topo.config().side;
@@ -751,46 +704,9 @@ impl NetworkHandle {
                 ProtocolApp::Sensor(ProtocolNode::new_joiner(self.cfg.clone(), m))
             })
             .collect();
-        let registrations: Vec<(u32, Key128, Key128)> = new_ids
-            .iter()
-            .map(|&id| {
-                (
-                    id,
-                    self.provisioner.node_key(id),
-                    self.provisioner.cluster_key_of(id),
-                )
-            })
-            .collect();
-
-        // Rebuild the simulator with the old apps carried over.
-        let seed = self.aux_rng.gen::<u64>();
-        let placeholder = Simulator::new(
-            Topology::from_positions(
-                TopologyConfig {
-                    n: 2,
-                    side: 1.0,
-                    radius: 1.0,
-                    wrap: false,
-                },
-                vec![Point::new(0.1, 0.1), Point::new(0.9, 0.9)],
-            ),
-            |_| {
-                ProtocolApp::Sensor(ProtocolNode::new(self.cfg.clone(), {
-                    let mut p = Provisioner::new(0);
-                    p.provision(u32::MAX)
-                }))
-            },
-        );
-        let mut old_sim = std::mem::replace(&mut self.sim, placeholder);
-        // Keep virtual time monotonic across the rebuild so freshness
-        // windows and refresh boundaries stay meaningful. The trace sink
-        // (and its sequence counter) survive the rebuild the same way.
-        let resume_at = old_sim.now();
-        let trace_state = old_sim.take_trace_state();
-        let (_, old_apps, _) = old_sim.into_parts();
-        let mut pool: Vec<Option<ProtocolApp>> =
-            old_apps.into_iter().chain(joiner_apps).map(Some).collect();
-        for (id, ki, kc) in registrations {
+        for &id in &new_ids {
+            let ki = self.provisioner.node_key(id);
+            let kc = self.provisioner.cluster_key_of(id);
             // Multi-sink: the joiner's partition entry starts at its home
             // sink; cluster keys are replicated at every sink.
             let home = match &mut self.sinks {
@@ -800,22 +716,15 @@ impl NetworkHandle {
                 }
                 None => 0,
             };
-            for k in 0..pool.len() as u32 {
-                if let Some(ProtocolApp::Base(bs)) = pool[k as usize].as_mut() {
-                    if k == home {
-                        bs.register_node(id, ki, kc);
-                    } else {
-                        bs.set_cluster_key(id, kc);
-                    }
+            for k in self.sink_ids() {
+                if k == home {
+                    self.sink_mut(k).register_node(id, ki, kc);
                 } else {
-                    break;
+                    self.sink_mut(k).set_cluster_key(id, kc);
                 }
             }
         }
-        self.sim = Simulator::with_config_at(topo, RadioConfig::default(), seed, resume_at, |id| {
-            pool[id as usize].take().expect("app built once")
-        });
-        self.sim.restore_trace_state(trace_state);
+        self.sim.add_nodes(topo, joiner_apps);
         self.sim.run();
         new_ids
     }
@@ -853,9 +762,7 @@ impl NetworkHandle {
     // ---- node lifecycle under faults ---------------------------------
     //
     // Churn primitives for fault engines (wsn-chaos) and resilience
-    // experiments. Note: [`Self::add_nodes`] rebuilds the simulator and —
-    // like the radio config it already resets — clears simulator-level
-    // fault state (down flags, drift, partition, link process).
+    // experiments.
 
     /// Powers node `id` off mid-run: its timers are lost and it neither
     /// hears nor sends anything until rebooted. App state stays in place

@@ -1,9 +1,9 @@
-//! The discrete-event core: virtual time and the event queue.
+//! The discrete-event core: virtual time, the event key and the queued
+//! event.
 
 use crate::node::{NodeId, TimerKey};
 use bytes::Bytes;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Virtual simulation time in microseconds.
 pub type SimTime = u64;
@@ -41,145 +41,98 @@ pub enum EventKind {
     },
 }
 
-/// An event queued for a particular virtual time. Ties break on insertion
-/// sequence so execution order is fully deterministic.
-#[derive(Debug)]
-pub struct QueuedEvent {
+/// Total event order, independent of how nodes are split into regions.
+///
+/// `origin` is the node whose activity created the event (the
+/// transmitter of a delivery, the owner of a timer, the node the caller
+/// attributed the event to), `ctr` its per-origin creation counter, and
+/// `target` the node that consumes the event. Each origin hands out every
+/// counter value once, so keys are unique; the derived lexicographic
+/// `Ord` gives `(time, seq)` ordering with a seq that no global scheduler
+/// needs to hand out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
     /// Fire time.
     pub at: SimTime,
-    /// Insertion sequence number (tie-breaker).
-    pub seq: u64,
+    /// Node the event is attributed to.
+    pub origin: NodeId,
+    /// The origin's creation counter.
+    pub ctr: u64,
+    /// Node that consumes the event.
+    pub target: NodeId,
+}
+
+/// An event queued in a region heap. Ordered *reversed* by key, so a
+/// `BinaryHeap<Event>` (a max-heap) pops the earliest key first.
+#[derive(Debug)]
+pub struct Event {
+    /// Order key.
+    pub key: EventKey,
     /// Payload.
     pub kind: EventKind,
 }
 
-impl PartialEq for QueuedEvent {
+impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
-impl Eq for QueuedEvent {}
+impl Eq for Event {}
 
-impl Ord for QueuedEvent {
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
-impl PartialOrd for QueuedEvent {
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// A deterministic time-ordered event queue.
-#[derive(Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<QueuedEvent>,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty queue with heap space for `cap` pending events, so
-    /// steady-state scheduling avoids reallocation-and-copy of the heap.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-        }
-    }
-
-    /// Total heap slots currently allocated.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// Schedules `kind` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(QueuedEvent { at, seq, kind });
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<QueuedEvent> {
-        self.heap.pop()
-    }
-
-    /// Earliest pending fire time.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BinaryHeap;
+
+    fn start(at: SimTime, origin: NodeId, ctr: u64) -> Event {
+        Event {
+            key: EventKey {
+                at,
+                origin,
+                ctr,
+                target: origin,
+            },
+            kind: EventKind::Start(origin),
+        }
+    }
+
+    fn pop_all(heap: &mut BinaryHeap<Event>) -> Vec<(SimTime, NodeId, u64)> {
+        std::iter::from_fn(|| heap.pop().map(|e| (e.key.at, e.key.origin, e.key.ctr))).collect()
+    }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(30, EventKind::Start(3));
-        q.schedule(10, EventKind::Start(1));
-        q.schedule(20, EventKind::Start(2));
-        let order: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|e| e.at)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
+        let mut heap = BinaryHeap::new();
+        heap.push(start(30, 3, 0));
+        heap.push(start(10, 1, 0));
+        heap.push(start(20, 2, 0));
+        let times: Vec<SimTime> = pop_all(&mut heap).iter().map(|e| e.0).collect();
+        assert_eq!(times, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        for id in 0..5u32 {
-            q.schedule(100, EventKind::Start(id));
+        // At equal times, events pop by origin, then in the order the
+        // origin created them (its counter) — not in heap-insertion order.
+        let mut heap = BinaryHeap::new();
+        for (origin, ctr) in [(2, 0), (1, 5), (1, 4), (2, 1)] {
+            heap.push(start(10, origin, ctr));
         }
-        let ids: Vec<u32> = std::iter::from_fn(|| {
-            q.pop().map(|e| match e.kind {
-                EventKind::Start(id) => id,
-                _ => unreachable!(),
-            })
-        })
-        .collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn with_capacity_preallocates_and_behaves_identically() {
-        let mut q = EventQueue::with_capacity(16);
-        assert!(q.capacity() >= 16);
-        q.schedule(30, EventKind::Start(3));
-        q.schedule(10, EventKind::Start(1));
-        let order: Vec<SimTime> = std::iter::from_fn(|| q.pop().map(|e| e.at)).collect();
-        assert_eq!(order, vec![10, 30]);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(1, EventKind::Start(0));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(1));
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(
+            pop_all(&mut heap),
+            vec![(10, 1, 4), (10, 1, 5), (10, 2, 0), (10, 2, 1)]
+        );
     }
 }

@@ -17,14 +17,15 @@
 //!    dominant cost. See [`net::Counters`], [`energy`].
 //!
 //! The simulator is deterministic: all randomness flows from a single `u64`
-//! seed, and [`parallel::run_trials`] fans independent trials out across
-//! threads while keeping per-trial determinism (each trial derives its own
-//! seed, so results are identical regardless of thread count).
+//! seed, through one RNG stream per node, and [`parallel::run_trials`] fans
+//! independent trials out across threads while keeping per-trial
+//! determinism (each trial derives its own seed, so results are identical
+//! regardless of thread count).
 //!
-//! For million-node deployments, [`shard`] provides a second engine that
-//! decomposes the deployment area into regions running on separate
-//! threads, exchanging boundary events under a conservative lookahead
-//! window — with outputs byte-identical for *any* region count.
+//! There is one engine, [`net::Simulator`]. It can split the deployment
+//! area into regions that run on separate threads (see [`shard`]), for
+//! million-node deployments, with outputs byte-identical for *any* region
+//! count; [`net::Simulator::merge_regions`] folds them back into one.
 //!
 //! ## Example
 //!
@@ -72,12 +73,12 @@ pub mod prelude {
     pub use crate::net::{Counters, Simulator};
     pub use crate::node::{App, Ctx, NodeId, TimerKey};
     pub use crate::radio::RadioConfig;
-    pub use crate::shard::{ShardedSimulator, Shards};
+    pub use crate::shard::Shards;
     pub use crate::topology::{Topology, TopologyConfig};
 }
 
 pub use event::SimTime;
 pub use net::Simulator;
 pub use node::{App, Ctx, NodeId};
-pub use shard::{ShardedSimulator, Shards};
+pub use shard::Shards;
 pub use topology::{Topology, TopologyConfig};

@@ -8,8 +8,8 @@
 //! in through [`crate::net::Simulator::set_link_process`] without the
 //! delivery path changing shape.
 //!
-//! Determinism contract: a process may either draw from the simulator's
-//! main RNG (passed to [`LinkProcess::should_drop`]) or keep its own
+//! Determinism contract: a process may either draw from the receiver's
+//! RNG stream (passed to [`LinkProcess::should_drop`]) or keep its own
 //! seeded streams. Either way the decision must be a pure function of
 //! the seed material and the delivery sequence, never of wall-clock
 //! time or thread scheduling.
@@ -22,7 +22,7 @@ use rand::Rng;
 /// A channel loss model consulted once per frame delivery.
 pub trait LinkProcess: Send {
     /// Returns `true` if the frame from `from` to `to` at virtual time
-    /// `now` is lost in the channel. `rng` is the simulator's main RNG;
+    /// `now` is lost in the channel. `rng` is the receiver's stream;
     /// implementations that keep private per-link streams should leave
     /// it untouched so swapping models does not perturb unrelated
     /// randomness.
@@ -39,10 +39,10 @@ pub trait LinkProcess: Send {
 /// Independent per-receiver Bernoulli loss — the trivial link process
 /// the `RadioConfig::loss` knob always meant.
 ///
-/// Draw discipline matters: the simulator's RNG is shared with protocol
+/// Draw discipline matters: the receiver's stream also feeds its protocol
 /// timers, so this process consumes exactly one draw per delivery *and
-/// only when `loss > 0`*, preserving byte-identical traces with seeds
-/// produced before the [`LinkProcess`] refactor.
+/// only when `loss > 0`* — a lossless radio leaves every stream
+/// untouched.
 #[derive(Clone, Copy, Debug)]
 pub struct IidLoss {
     /// Frame-loss probability in `[0, 1)`.

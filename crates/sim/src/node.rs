@@ -49,8 +49,8 @@ impl<'a> Ctx<'a> {
         self.now
     }
 
-    /// The simulation RNG (deterministic, shared across nodes in event
-    /// order).
+    /// This node's RNG stream (deterministic, seeded from the simulation
+    /// seed and the node id).
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }

@@ -1,60 +1,28 @@
-//! Spatially sharded discrete-event engine for very large networks.
+//! Spatial decomposition: how many regions an engine has, which nodes
+//! each region owns, and how `k > 1` regions run in parallel.
 //!
-//! The legacy [`Simulator`](crate::net::Simulator) pops one global heap
-//! with one global RNG, which caps a trial at a single core and makes
-//! every event order depend on the whole history. This module partitions
-//! the deployment area into a grid of **regions**, each with its own
-//! event heap, its own per-node RNG streams, and its own counters; radio
-//! deliveries whose receiver lives in another region cross over as
-//! **boundary events** through bounded channels once per conservative
-//! lookahead window.
+//! [`Simulator`](crate::net::Simulator) splits the deployment area into a
+//! grid of regions, each with its own event heap and the state of the
+//! nodes it owns. [`Simulator::run`](crate::net::Simulator::run) gives
+//! every region a thread and advances them in **lookahead windows**: the
+//! radio cannot deliver a frame in less than `airtime_us(1)` (propagation
+//! plus one byte on air), so all regions can process
+//! `[T, T + airtime_us(1))` in parallel, where `T` is the earliest pending
+//! event anywhere. Any delivery created inside the window lands at or
+//! after its end, on either side of a region border. Deliveries to
+//! another region's nodes cross over as batches through bounded channels
+//! once per window; timers are same-node and never cross.
 //!
-//! # Why outputs are byte-identical across `WSN_SHARDS`
-//!
-//! Determinism across shard counts does not come from synchronizing
-//! harder — it comes from making every observable value a pure function
-//! of *per-node* state:
-//!
-//! - **Per-node RNG streams.** Node `i` draws from
-//!   `StdRng::seed_from_u64(derive_seed(seed, i))`; channel loss is drawn
-//!   from the *receiver's* stream at delivery. No draw ever depends on
-//!   what other nodes did.
-//! - **A decomposition-independent event key.** Every event carries
-//!   `(time, origin, per-origin counter, target)`; keys are unique and
-//!   totally ordered, and each node consumes its own events in ascending
-//!   key order regardless of which shard hosts it.
-//! - **A conservative lookahead window.** The radio cannot deliver a
-//!   frame in less than `airtime_us(1)` (propagation plus one byte on
-//!   air), so all shards can safely process the window
-//!   `[T, T + airtime_us(1))` in parallel: any delivery generated inside
-//!   the window lands at or after its end, on either side of a region
-//!   border. Timers are same-node and never cross shards.
-//! - **Deterministic merges.** Counters are owner-written only (tx by the
-//!   sender's shard, rx by the receiver's shard) and scattered back by
-//!   node id; traces carry per-node sequence numbers and are merged by
-//!   `(time, node, seq)` (see [`wsn_trace::merge_shard_traces`]).
-//!
-//! The sharded engine deliberately supports only the setup workload: no
-//! airtime contention or finite TX queues, no fault injection, i.i.d.
-//! loss only. After [`ShardedSimulator::run`] drains the network to
-//! quiescence, [`ShardedSimulator::into_parts`] hands the apps and merged
-//! counters to [`Simulator::from_parts_at`](crate::net::Simulator::from_parts_at)
-//! and the full-featured single-heap engine drives every later phase.
+//! Region membership affects scheduling only — the
+//! [engine docs](crate::net) say why outputs are identical for every `k`.
 
-use crate::event::{EventKind, SimTime};
-use crate::net::Counters;
-use crate::node::{Action, App, Ctx, NodeId, TimerKey};
-use crate::radio::RadioConfig;
-use crate::rng::derive_seed;
+use crate::event::{Event, SimTime};
+use crate::net::{Env, Region};
+use crate::node::{App, NodeId};
 use crate::topology::Topology;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Barrier;
-use wsn_trace::{merge_shard_traces, BufferSink, TraceEvent, TraceRecord, TraceSink};
 
 /// Region-count selector for the simulation backend.
 ///
@@ -63,354 +31,34 @@ use wsn_trace::{merge_shard_traces, BufferSink, TraceEvent, TraceRecord, TraceSi
 /// pinned to different decompositions and their outputs diffed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Shards {
-    /// The legacy single-heap engine ([`crate::net::Simulator`]). This is
-    /// the default: it supports the full fault-injection surface and is
-    /// what every committed figure has always run on. It ignores
-    /// `WSN_SHARDS` entirely.
+    /// One region, the same as `Fixed(1)`. The default.
     #[default]
     Single,
-    /// The sharded engine with `WSN_SHARDS` regions when that variable is
-    /// set to a positive integer, otherwise the machine's available
-    /// parallelism.
+    /// `WSN_SHARDS` regions when that variable is set to a positive
+    /// integer, otherwise the machine's available parallelism.
     Auto,
-    /// The sharded engine with an explicit region count. `Fixed(1)` is
-    /// *not* [`Shards::Single`]: it runs the sharded universe with one
-    /// region, which is how the determinism suite pins the `k = 1` side
-    /// of a byte-identity comparison.
+    /// An explicit region count.
     Fixed(usize),
 }
 
 impl Shards {
-    /// The region count this selector resolves to, or `None` for the
-    /// legacy single-heap engine.
-    pub fn region_count(self) -> Option<usize> {
+    /// The region count this selector resolves to.
+    pub fn region_count(self) -> usize {
         match self {
-            Shards::Single => None,
+            Shards::Single => 1,
             Shards::Fixed(k) => {
                 assert!(k >= 1, "need at least one region");
-                Some(k)
+                k
             }
-            Shards::Auto => Some(
-                std::env::var("WSN_SHARDS")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&k: &usize| k >= 1)
-                    .unwrap_or_else(|| {
-                        std::thread::available_parallelism()
-                            .map(|n| n.get())
-                            .unwrap_or(1)
-                    }),
-            ),
-        }
-    }
-}
-
-/// Total event order, independent of the shard decomposition.
-///
-/// `origin` is the node whose activity created the event (the
-/// transmitter of a delivery, the owner of a timer), `ctr` its per-origin
-/// creation counter, and `target` breaks the one remaining tie — a
-/// broadcast fan-out scheduling several deliveries from one origin.
-/// Derived lexicographic `Ord` gives `(time, seq)` ordering with a seq
-/// that no global scheduler needs to hand out.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct EventKey {
-    at: SimTime,
-    origin: NodeId,
-    ctr: u64,
-    target: NodeId,
-}
-
-/// A queued event in a region heap (min-ordered by key).
-#[derive(Debug)]
-struct ShardEvent {
-    key: EventKey,
-    kind: EventKind,
-}
-
-impl PartialEq for ShardEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for ShardEvent {}
-impl Ord for ShardEvent {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other.key.cmp(&self.key)
-    }
-}
-impl PartialOrd for ShardEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Read-only simulation context shared by every region worker.
-struct Env<'a> {
-    topo: &'a Topology,
-    radio: &'a RadioConfig,
-    region_of: &'a [u32],
-    local_of: &'a [u32],
-    me: usize,
-}
-
-/// One region: the nodes it owns and everything mutable about them.
-///
-/// All per-node vectors are indexed by the node's *local* index within
-/// this shard (`Env::local_of` maps global ids down).
-struct Shard<A> {
-    /// Global ids of owned nodes, ascending.
-    nodes: Vec<NodeId>,
-    apps: Vec<A>,
-    rngs: Vec<StdRng>,
-    /// Per-node event-creation counters (also timer generations).
-    ctrs: Vec<u64>,
-    /// Per-node trace sequence counters.
-    trace_seq: Vec<u64>,
-    heap: BinaryHeap<ShardEvent>,
-    /// Latest armed generation per (node, timer key).
-    timers: HashMap<(NodeId, TimerKey), u64>,
-    /// Locally indexed counters; scattered to global ids on merge.
-    counters: Counters,
-    sink: Option<BufferSink>,
-    scratch: Vec<Action>,
-    now: SimTime,
-    events: u64,
-}
-
-impl<A: App> Shard<A> {
-    fn empty() -> Self {
-        Shard {
-            nodes: Vec::new(),
-            apps: Vec::new(),
-            rngs: Vec::new(),
-            ctrs: Vec::new(),
-            trace_seq: Vec::new(),
-            heap: BinaryHeap::new(),
-            timers: HashMap::new(),
-            counters: Counters::new(0),
-            sink: None,
-            scratch: Vec::with_capacity(8),
-            now: 0,
-            events: 0,
-        }
-    }
-
-    fn next_ctr(&mut self, li: usize) -> u64 {
-        let c = self.ctrs[li];
-        self.ctrs[li] += 1;
-        c
-    }
-
-    #[inline]
-    fn trace(&mut self, li: usize, node: NodeId, at: SimTime, make: impl FnOnce() -> TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            let rec = TraceRecord {
-                seq: self.trace_seq[li],
-                at,
-                node,
-                event: make(),
-            };
-            self.trace_seq[li] += 1;
-            sink.record(rec);
-        }
-    }
-
-    /// Processes every local event with `key.at < end`, routing newly
-    /// created cross-region deliveries into `out` (one batch per
-    /// destination shard).
-    fn process_until(&mut self, end: SimTime, env: &Env, out: &mut [Vec<ShardEvent>]) {
-        while self.heap.peek().is_some_and(|ev| ev.key.at < end) {
-            let ev = self.heap.pop().expect("peeked event vanished");
-            self.now = ev.key.at;
-            self.events += 1;
-            match ev.kind {
-                EventKind::Start(id) => {
-                    self.dispatch(id, env, out, |app, ctx| app.on_start(ctx));
-                }
-                EventKind::Timer { node, key, gen } => {
-                    if self.timers.get(&(node, key)) == Some(&gen) {
-                        self.timers.remove(&(node, key));
-                        let li = env.local_of[node as usize] as usize;
-                        self.trace(li, node, self.now, || TraceEvent::TimerFired { key });
-                        self.dispatch(node, env, out, |app, ctx| app.on_timer(ctx, key));
-                    }
-                }
-                EventKind::Deliver { from, to, payload } => {
-                    let li = env.local_of[to as usize] as usize;
-                    // Per-receiver channel loss from the *receiver's*
-                    // stream — same draw discipline as `IidLoss` (no draw
-                    // at all on a lossless radio).
-                    if env.radio.loss > 0.0 && self.rngs[li].gen::<f64>() < env.radio.loss {
-                        self.trace(li, to, self.now, || TraceEvent::RadioDrop {
-                            from,
-                            bytes: payload.len() as u32,
-                        });
-                        continue;
-                    }
-                    self.counters.rx_msgs[li] += 1;
-                    self.counters.rx_bytes[li] += payload.len() as u64;
-                    self.counters.energy[li].record_rx(payload.len(), env.radio);
-                    self.trace(li, to, self.now, || TraceEvent::Rx {
-                        from,
-                        payload: payload.clone(),
-                    });
-                    self.dispatch(to, env, out, |app, ctx| app.on_message(ctx, from, &payload));
-                }
-            }
-        }
-    }
-
-    fn dispatch(
-        &mut self,
-        id: NodeId,
-        env: &Env,
-        out: &mut [Vec<ShardEvent>],
-        f: impl FnOnce(&mut A, &mut Ctx),
-    ) {
-        let li = env.local_of[id as usize] as usize;
-        let now = self.now;
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx {
-                id,
-                now,
-                rng: &mut self.rngs[li],
-                actions: &mut actions,
-                sink: self
-                    .sink
-                    .as_mut()
-                    .map(|s| s as &mut (dyn TraceSink + 'static)),
-                trace_seq: &mut self.trace_seq[li],
-            };
-            f(&mut self.apps[li], &mut ctx);
-        }
-        for action in actions.drain(..) {
-            self.apply(id, li, env, out, action);
-        }
-        self.scratch = actions;
-    }
-
-    /// Routes a delivery to its receiver's region: the local heap, or the
-    /// outgoing boundary batch for another shard.
-    #[inline]
-    fn route(&mut self, ev: ShardEvent, to: NodeId, env: &Env, out: &mut [Vec<ShardEvent>]) {
-        let dest = env.region_of[to as usize] as usize;
-        if dest == env.me {
-            self.heap.push(ev);
-        } else {
-            out[dest].push(ev);
-        }
-    }
-
-    fn apply(
-        &mut self,
-        id: NodeId,
-        li: usize,
-        env: &Env,
-        out: &mut [Vec<ShardEvent>],
-        action: Action,
-    ) {
-        let now = self.now;
-        match action {
-            Action::Broadcast(payload) => {
-                // The conservative window is one byte of airtime; an
-                // empty frame would deliver inside it.
-                assert!(
-                    !payload.is_empty(),
-                    "sharded engine requires non-empty frames"
-                );
-                let at = now + env.radio.airtime_us(payload.len());
-                self.counters.tx_msgs[li] += 1;
-                self.counters.tx_bytes[li] += payload.len() as u64;
-                self.counters.energy[li].record_tx(payload.len(), env.radio);
-                if self.sink.is_some() {
-                    let neighbors = env.topo.degree(id) as u32;
-                    self.trace(li, id, now, || TraceEvent::TxBroadcast {
-                        payload: payload.clone(),
-                        neighbors,
-                    });
-                }
-                for &to in env.topo.neighbors(id) {
-                    let key = EventKey {
-                        at,
-                        origin: id,
-                        ctr: self.next_ctr(li),
-                        target: to,
-                    };
-                    self.route(
-                        ShardEvent {
-                            key,
-                            kind: EventKind::Deliver {
-                                from: id,
-                                to,
-                                payload: payload.clone(),
-                            },
-                        },
-                        to,
-                        env,
-                        out,
-                    );
-                }
-            }
-            Action::Send(to, payload) => {
-                assert!(
-                    !payload.is_empty(),
-                    "sharded engine requires non-empty frames"
-                );
-                let at = now + env.radio.airtime_us(payload.len());
-                self.counters.tx_msgs[li] += 1;
-                self.counters.tx_bytes[li] += payload.len() as u64;
-                self.counters.energy[li].record_tx(payload.len(), env.radio);
-                self.trace(li, id, now, || TraceEvent::TxUnicast {
-                    to,
-                    payload: payload.clone(),
-                });
-                // Addressed frame: delivered only to `to`, only in range.
-                if env.topo.neighbors(id).binary_search(&to).is_ok() {
-                    let key = EventKey {
-                        at,
-                        origin: id,
-                        ctr: self.next_ctr(li),
-                        target: to,
-                    };
-                    self.route(
-                        ShardEvent {
-                            key,
-                            kind: EventKind::Deliver {
-                                from: id,
-                                to,
-                                payload,
-                            },
-                        },
-                        to,
-                        env,
-                        out,
-                    );
-                }
-            }
-            Action::SetTimer(key, delay) => {
-                // The creation counter doubles as the arming generation.
-                let gen = self.next_ctr(li);
-                self.timers.insert((id, key), gen);
-                let fire_at = now + delay;
-                self.trace(li, id, now, || TraceEvent::TimerSet { key, fire_at });
-                self.heap.push(ShardEvent {
-                    key: EventKey {
-                        at: fire_at,
-                        origin: id,
-                        ctr: gen,
-                        target: id,
-                    },
-                    kind: EventKind::Timer { node: id, key, gen },
-                });
-            }
-            Action::CancelTimer(key) => {
-                if self.timers.remove(&(id, key)).is_some() {
-                    self.trace(li, id, now, || TraceEvent::TimerCanceled { key });
-                }
-            }
+            Shards::Auto => std::env::var("WSN_SHARDS")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .filter(|&k: &usize| k >= 1)
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(|n| n.get())
+                        .unwrap_or(1)
+                }),
         }
     }
 }
@@ -426,9 +74,8 @@ fn grid_dims(k: usize) -> (usize, usize) {
 
 /// Assigns each node to the grid cell containing its position: `k`
 /// regions arranged as a `gx × gy` grid (`gx·gy = k`) over the square
-/// deployment area. Region membership affects scheduling only — never
-/// outputs.
-fn assign_regions(topo: &Topology, k: usize) -> Vec<u32> {
+/// deployment area.
+pub(crate) fn assign_regions(topo: &Topology, k: usize) -> Vec<u32> {
     let (gx, gy) = grid_dims(k);
     let side = topo.config().side;
     (0..topo.n() as NodeId)
@@ -441,245 +88,62 @@ fn assign_regions(topo: &Topology, k: usize) -> Vec<u32> {
         .collect()
 }
 
-/// A spatially sharded simulation of one deployed network running app
-/// `A` on every node. See the [module docs](self) for the determinism
-/// argument and the supported feature subset.
-pub struct ShardedSimulator<A: App> {
-    topo: Topology,
-    radio: RadioConfig,
-    region_of: Vec<u32>,
-    local_of: Vec<u32>,
-    shards: Vec<Shard<A>>,
-    /// Conservative lookahead: `radio.airtime_us(1)`.
-    window: SimTime,
-    now: SimTime,
-}
-
-impl<A: App> ShardedSimulator<A> {
-    /// Builds a sharded simulator with `regions` regions, constructing
-    /// each node's app with `make_app` (called in ascending id order).
-    ///
-    /// Panics if the radio models contention or a finite TX queue — the
-    /// sharded engine supports neither (both couple nodes through
-    /// non-local state).
-    pub fn new(
-        topo: Topology,
-        radio: RadioConfig,
-        seed: u64,
-        regions: usize,
-        mut make_app: impl FnMut(NodeId) -> A,
-    ) -> Self {
-        assert!(regions >= 1, "need at least one region");
-        assert!(
-            !radio.contention && radio.tx_queue_cap.is_none(),
-            "sharded engine does not model airtime contention or finite TX queues"
-        );
-        let window = radio.airtime_us(1);
-        assert!(window >= 1, "zero-airtime radio leaves no lookahead window");
-        let n = topo.n();
-        let region_of = assign_regions(&topo, regions);
-        let mut local_of = vec![0u32; n];
-        let mut shards: Vec<Shard<A>> = (0..regions).map(|_| Shard::empty()).collect();
-        for id in 0..n as NodeId {
-            let shard = &mut shards[region_of[id as usize] as usize];
-            local_of[id as usize] = shard.nodes.len() as u32;
-            shard.nodes.push(id);
-            shard.apps.push(make_app(id));
-            shard
-                .rngs
-                .push(StdRng::seed_from_u64(derive_seed(seed, id as u64)));
-            // Counter 0 is consumed by the Start event below.
-            shard.ctrs.push(1);
-            shard.trace_seq.push(0);
-            shard.heap.push(ShardEvent {
-                key: EventKey {
-                    at: 0,
-                    origin: id,
-                    ctr: 0,
-                    target: id,
-                },
-                kind: EventKind::Start(id),
-            });
-        }
-        for shard in &mut shards {
-            shard.counters = Counters::new(shard.nodes.len());
-        }
-        ShardedSimulator {
-            topo,
-            radio,
-            region_of,
-            local_of,
-            shards,
-            window,
-            now: 0,
-        }
-    }
-
-    /// The deployed topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Number of regions.
-    pub fn regions(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Virtual time of the latest processed event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total events processed across all regions. Every scheduled event
-    /// pops exactly once, so this is identical across shard counts.
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
-    }
-
-    /// Merged traffic counters: per-shard locally indexed counters
-    /// scattered back to global node ids. Each node is owned by exactly
-    /// one shard, so this is a scatter, not a sum.
-    pub fn counters(&self) -> Counters {
-        let mut total = Counters::new(self.topo.n());
-        for shard in &self.shards {
-            for (li, &id) in shard.nodes.iter().enumerate() {
-                let gi = id as usize;
-                total.tx_msgs[gi] = shard.counters.tx_msgs[li];
-                total.rx_msgs[gi] = shard.counters.rx_msgs[li];
-                total.tx_bytes[gi] = shard.counters.tx_bytes[li];
-                total.rx_bytes[gi] = shard.counters.rx_bytes[li];
-                total.energy[gi] = shard.counters.energy[li];
-                total.tx_drops[gi] = shard.counters.tx_drops[li];
+/// Runs `regions` (more than one) on their own threads until no event
+/// before `end` is left anywhere.
+pub(crate) fn run_windows<A: App + Send>(regions: &mut [Region<A>], env: Env, end: SimTime) {
+    let window = env.radio.airtime_us(1);
+    assert!(window >= 1, "zero-airtime radio leaves no lookahead window");
+    let k = regions.len();
+    // One bounded channel per ordered region pair; each carries exactly
+    // one boundary batch per window.
+    let mut txs: Vec<Vec<Option<SyncSender<Vec<Event>>>>> =
+        (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
+    let mut rxs: Vec<Vec<Option<Receiver<Vec<Event>>>>> =
+        (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
+    for i in 0..k {
+        for j in 0..k {
+            if i != j {
+                let (tx, rx) = sync_channel(1);
+                txs[i][j] = Some(tx);
+                rxs[j][i] = Some(rx);
             }
         }
-        total
     }
-
-    /// Starts buffering trace records in every region (with per-node
-    /// sequence numbers); retrieve the merged stream with
-    /// [`Self::take_merged_trace`].
-    pub fn enable_trace(&mut self) {
-        for shard in &mut self.shards {
-            shard.sink = Some(BufferSink::new());
+    let mins: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
+    let barrier = Barrier::new(k);
+    let (mins, barrier) = (&mins, &barrier);
+    std::thread::scope(|scope| {
+        for (me, ((region, tx_row), rx_row)) in regions.iter_mut().zip(txs).zip(rxs).enumerate() {
+            let env = Env { me, ..env };
+            scope
+                .spawn(move || run_region(region, env, window, end, tx_row, rx_row, mins, barrier));
         }
-    }
-
-    /// Drains every region's trace buffer and merges the streams into
-    /// one deterministic global trace (see
-    /// [`wsn_trace::merge_shard_traces`]).
-    pub fn take_merged_trace(&mut self) -> Vec<TraceRecord> {
-        let buffers: Vec<Vec<TraceRecord>> = self
-            .shards
-            .iter_mut()
-            .filter_map(|s| s.sink.take())
-            .map(BufferSink::into_records)
-            .collect();
-        merge_shard_traces(buffers)
-    }
-
-    /// Consumes the simulator, returning the topology, the apps in
-    /// global id order, and the merged counters — the inputs
-    /// [`Simulator::from_parts_at`](crate::net::Simulator::from_parts_at)
-    /// needs to continue the run on the single-heap engine.
-    pub fn into_parts(self) -> (Topology, Vec<A>, Counters) {
-        let counters = self.counters();
-        let n = self.topo.n();
-        let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
-        for shard in self.shards {
-            for (id, app) in shard.nodes.into_iter().zip(shard.apps) {
-                slots[id as usize] = Some(app);
-            }
-        }
-        let apps = slots
-            .into_iter()
-            .map(|a| a.expect("every node owned by exactly one shard"))
-            .collect();
-        (self.topo, apps, counters)
-    }
-}
-
-impl<A: App + Send> ShardedSimulator<A> {
-    /// Runs until every region's event heap drains. Returns the final
-    /// virtual time (the latest event processed anywhere).
-    pub fn run(&mut self) -> SimTime {
-        let k = self.shards.len();
-        if k == 1 {
-            let env = Env {
-                topo: &self.topo,
-                radio: &self.radio,
-                region_of: &self.region_of,
-                local_of: &self.local_of,
-                me: 0,
-            };
-            let mut out: Vec<Vec<ShardEvent>> = vec![Vec::new()];
-            self.shards[0].process_until(SimTime::MAX, &env, &mut out);
-            debug_assert!(out[0].is_empty());
-        } else {
-            // One bounded channel per ordered shard pair; each carries
-            // exactly one boundary batch per window.
-            let mut txs: Vec<Vec<Option<SyncSender<Vec<ShardEvent>>>>> =
-                (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
-            let mut rxs: Vec<Vec<Option<Receiver<Vec<ShardEvent>>>>> =
-                (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
-            for i in 0..k {
-                for j in 0..k {
-                    if i != j {
-                        let (tx, rx) = sync_channel(1);
-                        txs[i][j] = Some(tx);
-                        rxs[j][i] = Some(rx);
-                    }
-                }
-            }
-            let mins: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-            let barrier = Barrier::new(k);
-            let (mins, barrier) = (&mins, &barrier);
-            let window = self.window;
-            let (topo, radio) = (&self.topo, &self.radio);
-            let (region_of, local_of) = (&self.region_of[..], &self.local_of[..]);
-            std::thread::scope(|scope| {
-                for (me, ((shard, tx_row), rx_row)) in
-                    self.shards.iter_mut().zip(txs).zip(rxs).enumerate()
-                {
-                    scope.spawn(move || {
-                        let env = Env {
-                            topo,
-                            radio,
-                            region_of,
-                            local_of,
-                            me,
-                        };
-                        run_region(shard, env, window, tx_row, rx_row, mins, barrier);
-                    });
-                }
-            });
-        }
-        self.now = self.shards.iter().map(|s| s.now).max().unwrap_or(0);
-        self.now
-    }
+    });
 }
 
 /// One region worker's windowed event loop.
 ///
 /// Each iteration: publish the local minimum pending time, agree on the
 /// global minimum `T` at a barrier, process everything in
-/// `[T, T + window)`, then exchange boundary batches (send all, then
-/// receive all — the channels hold one batch each, so sends never
+/// `[T, min(T + window, end))`, then exchange boundary batches (send all,
+/// then receive all — the channels hold one batch each, so sends never
 /// block). Termination is the window where every region publishes an
-/// empty heap; batches are always drained before publishing, so nothing
-/// can be in flight at that point.
+/// empty heap (or nothing before `end`); batches are always drained before
+/// publishing, so nothing can be in flight at that point.
+#[allow(clippy::too_many_arguments)]
 fn run_region<A: App>(
-    shard: &mut Shard<A>,
+    region: &mut Region<A>,
     env: Env,
     window: SimTime,
-    txs: Vec<Option<SyncSender<Vec<ShardEvent>>>>,
-    rxs: Vec<Option<Receiver<Vec<ShardEvent>>>>,
+    end: SimTime,
+    txs: Vec<Option<SyncSender<Vec<Event>>>>,
+    rxs: Vec<Option<Receiver<Vec<Event>>>>,
     mins: &[AtomicU64],
     barrier: &Barrier,
 ) {
-    let k = mins.len();
-    let mut out: Vec<Vec<ShardEvent>> = (0..k).map(|_| Vec::new()).collect();
+    let mut out: Vec<Vec<Event>> = (0..mins.len()).map(|_| Vec::new()).collect();
     loop {
-        let local_min = shard.heap.peek().map(|e| e.key.at).unwrap_or(u64::MAX);
+        let local_min = region.heap.peek().map_or(SimTime::MAX, |e| e.key.at);
         // Barrier waits synchronize memory; Relaxed suffices.
         mins[env.me].store(local_min, Ordering::Relaxed);
         barrier.wait();
@@ -691,11 +155,11 @@ fn run_region<A: App>(
         // Second barrier: everyone has read this window's minima before
         // anyone publishes the next window's.
         barrier.wait();
-        if t == u64::MAX {
+        if t >= end {
             return;
         }
-        let end = t.saturating_add(window);
-        shard.process_until(end, &env, &mut out);
+        let window_end = t.saturating_add(window).min(end);
+        region.process_until(window_end, &env, &mut out);
         for (j, tx) in txs.iter().enumerate() {
             if let Some(tx) = tx {
                 tx.send(std::mem::take(&mut out[j]))
@@ -704,8 +168,8 @@ fn run_region<A: App>(
         }
         for rx in rxs.iter().flatten() {
             for ev in rx.recv().expect("peer region hung up") {
-                debug_assert!(ev.key.at >= end, "boundary event inside the window");
-                shard.heap.push(ev);
+                debug_assert!(ev.key.at >= window_end, "boundary event inside the window");
+                region.heap.push(ev);
             }
         }
     }
@@ -714,7 +178,12 @@ fn run_region<A: App>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::Simulator;
+    use crate::node::{Ctx, TimerKey};
+    use crate::radio::RadioConfig;
     use crate::topology::TopologyConfig;
+    use rand::Rng;
+    use wsn_trace::{MemorySink, TraceRecord};
 
     /// A chatty flood: node 0 broadcasts at start, every node relays the
     /// first frame it hears, draws from its RNG on every reception, and
@@ -724,6 +193,7 @@ mod tests {
         heard: u64,
         relayed: bool,
         draws: u64,
+        /// Sum of timer fire times.
         fires: u64,
     }
 
@@ -745,77 +215,167 @@ mod tests {
                 ctx.broadcast(payload.to_vec());
             }
         }
-        fn on_timer(&mut self, ctx: &mut Ctx, key: TimerKey) {
-            assert_eq!(key, 1);
-            assert_eq!(ctx.now(), 500, "re-armed instance fires, original doesn't");
-            self.fires += 1;
+        fn on_timer(&mut self, ctx: &mut Ctx, _key: TimerKey) {
+            self.fires += ctx.now();
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn snapshot(k: usize, loss: f64) -> (Vec<(u64, u64, u64)>, u64, SimTime, Vec<u64>, usize) {
-        let topo = Topology::random(&TopologyConfig::with_density(300, 10.0), 3);
-        let radio = RadioConfig::default().with_loss(loss);
-        let mut sim = ShardedSimulator::new(topo, radio, 42, k, |_| Flood {
+    fn flood(_: NodeId) -> Flood {
+        Flood {
             heard: 0,
             relayed: false,
             draws: 0,
             fires: 0,
-        });
-        sim.enable_trace();
+        }
+    }
+
+    type FloodSnapshot = (
+        Vec<(u64, u64, u64)>,
+        u64,
+        SimTime,
+        Vec<u64>,
+        Vec<TraceRecord>,
+    );
+
+    /// Runs the flood on `k` regions, merges, and returns app state,
+    /// events, end time, per-node tx counts and the full trace.
+    fn snapshot(k: usize, radio: RadioConfig, topo_seed: u64) -> FloodSnapshot {
+        let topo = Topology::random(&TopologyConfig::with_density(300, 10.0), topo_seed);
+        let mut sim = Simulator::with_regions(topo, radio, 42, k, flood);
+        sim.install_trace(MemorySink::new());
         let end = sim.run();
-        let trace = sim.take_merged_trace();
-        let events = sim.events_processed();
-        let counters = sim.counters();
-        let (_, apps, _) = sim.into_parts();
-        let app_state = apps.iter().map(|a| (a.heard, a.draws, a.fires)).collect();
-        let tx = counters.tx_msgs.clone();
-        (app_state, events, end, tx, trace.len())
+        sim.merge_regions();
+        let trace = sim.take_trace().expect("installed").drain();
+        let apps = sim.apps().iter().map(|a| (a.heard, a.draws, a.fires));
+        (
+            apps.collect(),
+            sim.events_processed(),
+            end,
+            sim.counters().tx_msgs.clone(),
+            trace,
+        )
     }
 
     #[test]
     fn byte_identical_across_shard_counts() {
-        let base = snapshot(1, 0.0);
+        let base = snapshot(1, RadioConfig::default(), 3);
         for k in [2, 4, 5, 9] {
-            assert_eq!(snapshot(k, 0.0), base, "k = {k} diverged");
+            assert_eq!(
+                snapshot(k, RadioConfig::default(), 3),
+                base,
+                "k = {k} diverged"
+            );
         }
-        // Sanity: the flood actually spread and timers fired.
+        // Sanity: the flood actually spread, and only the re-armed timer
+        // fired.
         assert!(base.0.iter().map(|s| s.0).sum::<u64>() > 300);
-        assert!(base.0.iter().all(|s| s.2 == 1));
-    }
-
-    #[test]
-    fn lossy_radio_identical_across_shard_counts() {
-        let base = snapshot(1, 0.25);
-        for k in [3, 4] {
-            assert_eq!(snapshot(k, 0.25), base, "lossy k = {k} diverged");
-        }
-        // Loss actually bit: fewer frames heard than at loss 0.
-        assert!(
-            base.0.iter().map(|s| s.0).sum::<u64>()
-                < snapshot(1, 0.0).0.iter().map(|s| s.0).sum::<u64>()
-        );
+        assert!(base.0.iter().all(|s| s.2 == 500));
+        // Global seqs are dense after the merge.
+        assert!(base.4.iter().enumerate().all(|(i, r)| r.seq == i as u64));
     }
 
     #[test]
     fn full_trace_identical_across_shard_counts() {
         let run = |k: usize| {
             let topo = Topology::random(&TopologyConfig::with_density(120, 10.0), 9);
-            let mut sim = ShardedSimulator::new(topo, RadioConfig::default(), 5, k, |_| Flood {
-                heard: 0,
-                relayed: false,
-                draws: 0,
-                fires: 0,
-            });
-            sim.enable_trace();
+            let mut sim = Simulator::with_regions(topo, RadioConfig::default(), 5, k, flood);
+            sim.install_trace(MemorySink::new());
             sim.run();
-            sim.take_merged_trace()
+            sim.take_trace().expect("installed").drain()
         };
         let one = run(1);
         assert!(!one.is_empty());
         assert_eq!(one, run(4));
         // Global seqs are dense after the merge.
         assert!(one.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+    }
+
+    #[test]
+    fn lossy_radio_identical_across_shard_counts() {
+        let lossy = || RadioConfig::default().with_loss(0.25);
+        let base = snapshot(1, lossy(), 3);
+        for k in [3, 4] {
+            assert_eq!(snapshot(k, lossy(), 3), base, "lossy k = {k} diverged");
+        }
+        // Loss actually bit: fewer frames heard than at loss 0.
+        let heard = |s: &FloodSnapshot| s.0.iter().map(|a| a.0).sum::<u64>();
+        assert!(heard(&base) < heard(&snapshot(1, RadioConfig::default(), 3)));
+    }
+
+    #[test]
+    fn contended_queued_radio_identical_across_region_counts() {
+        let radio = || RadioConfig::default().with_tx_queue(2).with_contention();
+        let base = snapshot(1, radio(), 9);
+        assert_eq!(snapshot(4, radio(), 9), base);
+    }
+
+    #[test]
+    fn fault_setters_identical_across_region_counts() {
+        let run = |k: usize| {
+            let topo = Topology::random(&TopologyConfig::with_density(200, 10.0), 5);
+            let sides = (0..200u32).map(|i| u8::from(i % 7 == 0)).collect();
+            let mut sim = Simulator::with_regions(topo, RadioConfig::default(), 1, k, flood);
+            sim.install_trace(MemorySink::new());
+            sim.set_partition(sides);
+            sim.set_node_down(17);
+            sim.set_clock_drift(3, 1.5);
+            sim.schedule_timer(40, 9, 50);
+            sim.schedule_start(41, 20);
+            sim.run();
+            sim.merge_regions();
+            let apps: Vec<(u64, u64)> = sim.apps().iter().map(|a| (a.heard, a.fires)).collect();
+            (apps, sim.take_trace().expect("installed").drain())
+        };
+        let base = run(1);
+        assert_eq!(base.0[17], (0, 0), "a down node hears nothing");
+        assert_eq!(base.0[3].1, 750, "drift stretches node 3's timer");
+        assert_eq!(base.0[40].1, 550, "scheduled timer, then the re-armed one");
+        assert_eq!(run(4), base);
+    }
+
+    #[test]
+    fn grid_regions_pin_byte_identity() {
+        // A perfect grid puts many nodes on region borders.
+        let topo = || {
+            let positions = (0..400)
+                .map(|i| crate::geom::Point::new((i % 20) as f64 + 0.5, (i / 20) as f64 + 0.5))
+                .collect();
+            let cfg = TopologyConfig {
+                n: 400,
+                side: 20.0,
+                radius: 1.5,
+                wrap: false,
+            };
+            Topology::from_positions(cfg, positions)
+        };
+        let run = |k: usize| {
+            let mut sim = Simulator::with_regions(topo(), RadioConfig::default(), 7, k, flood);
+            let end = sim.run();
+            sim.merge_regions();
+            let heard: Vec<(u64, u64)> = sim.apps().iter().map(|a| (a.heard, a.draws)).collect();
+            (end, heard, sim.counters().rx_msgs.clone())
+        };
+        let base = run(1);
+        for k in [2, 4, 6] {
+            assert_eq!(run(k), base, "grid k = {k} diverged");
+        }
+    }
+
+    #[test]
+    fn merged_engine_keeps_running() {
+        let run = |k: usize| {
+            let topo = Topology::random(&TopologyConfig::with_density(80, 10.0), 2);
+            let mut sim = Simulator::with_regions(topo, RadioConfig::default(), 11, k, flood);
+            sim.run();
+            sim.merge_regions();
+            // Steady state on the merged engine: a second wave.
+            sim.app_mut(5).relayed = false;
+            sim.inject_broadcast_at(5, 5, 1, vec![3u8; 4]);
+            sim.run();
+            let apps: Vec<(u64, u64)> = sim.apps().iter().map(|a| (a.heard, a.draws)).collect();
+            (apps, sim.events_processed(), sim.now())
+        };
+        assert_eq!(run(4), run(1));
     }
 
     #[test]
@@ -834,53 +394,19 @@ mod tests {
 
     #[test]
     fn shards_selector_resolves() {
-        assert_eq!(Shards::Single.region_count(), None);
-        assert_eq!(Shards::Fixed(6).region_count(), Some(6));
+        assert_eq!(Shards::Single.region_count(), 1);
+        assert_eq!(Shards::Fixed(6).region_count(), 6);
         assert_eq!(Shards::default(), Shards::Single);
         // Auto honors WSN_SHARDS (restored afterwards; the only other
         // readers pick a region count, which never changes results).
         let prior = std::env::var("WSN_SHARDS").ok();
         std::env::set_var("WSN_SHARDS", "5");
-        assert_eq!(Shards::Auto.region_count(), Some(5));
+        assert_eq!(Shards::Auto.region_count(), 5);
         std::env::set_var("WSN_SHARDS", "0");
-        assert!(Shards::Auto.region_count().unwrap() >= 1);
+        assert!(Shards::Auto.region_count() >= 1);
         match prior {
             Some(v) => std::env::set_var("WSN_SHARDS", v),
             None => std::env::remove_var("WSN_SHARDS"),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "contention")]
-    fn contention_radio_rejected() {
-        let topo = Topology::random(&TopologyConfig::with_density(10, 5.0), 0);
-        let radio = RadioConfig::default().with_contention();
-        let _ = ShardedSimulator::new(topo, radio, 0, 2, |_| Flood {
-            heard: 0,
-            relayed: false,
-            draws: 0,
-            fires: 0,
-        });
-    }
-
-    #[test]
-    fn collapse_matches_sharded_state() {
-        use crate::net::Simulator;
-        let topo = Topology::random(&TopologyConfig::with_density(80, 10.0), 2);
-        let radio = RadioConfig::default();
-        let mut sh = ShardedSimulator::new(topo, radio.clone(), 11, 4, |_| Flood {
-            heard: 0,
-            relayed: false,
-            draws: 0,
-            fires: 0,
-        });
-        let end = sh.run();
-        let events = sh.events_processed();
-        let (topo, apps, counters) = sh.into_parts();
-        let sim = Simulator::from_parts_at(topo, radio, 99, end, apps, counters, events);
-        assert_eq!(sim.now(), end);
-        assert_eq!(sim.events_processed(), events);
-        assert!(sim.counters().total_tx_msgs() > 0);
-        assert_eq!(sim.apps().len(), 80);
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests over the simulator substrate.
 
 use proptest::prelude::*;
-use wsn_sim::event::{EventKind, EventQueue};
+use std::collections::BinaryHeap;
+use wsn_sim::event::{Event, EventKey, EventKind};
 use wsn_sim::geom::{Point, SpatialGrid};
 use wsn_sim::rng::derive_seed;
 use wsn_sim::topology::{Topology, TopologyConfig};
@@ -94,29 +95,34 @@ proptest! {
         prop_assert_ne!(derive_seed(master, a), derive_seed(master, b));
     }
 
+    /// Events created the way the engine creates them — each origin
+    /// stamps its next counter — pop from a region heap in ascending key
+    /// order with no two keys equal, and events of one origin at one time
+    /// pop in creation order.
     #[test]
-    fn event_queue_pops_sorted_and_stable(times in proptest::collection::vec(any::<u32>(), 1..100)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t as u64, EventKind::Start(i as u32));
+    fn event_queue_pops_sorted_and_stable(
+        events in proptest::collection::vec((0u64..50, 0u32..8, 0u32..8), 1..200),
+    ) {
+        let mut ctrs = [0u64; 8];
+        let mut heap = BinaryHeap::new();
+        for &(at, origin, target) in &events {
+            let ctr = ctrs[origin as usize];
+            ctrs[origin as usize] += 1;
+            heap.push(Event {
+                key: EventKey { at, origin, ctr, target },
+                kind: EventKind::Start(target),
+            });
         }
-        let mut last_time = 0u64;
-        let mut last_seq_at_time: Option<u32> = None;
-        while let Some(ev) = q.pop() {
-            prop_assert!(ev.at >= last_time);
-            let EventKind::Start(id) = ev.kind else { unreachable!() };
-            if ev.at == last_time {
-                if let Some(prev) = last_seq_at_time {
-                    prop_assert!(id > prev, "FIFO within equal timestamps");
-                }
-            } else {
-                last_time = ev.at;
-                last_seq_at_time = None;
+        let mut last: Option<EventKey> = None;
+        let mut popped = 0;
+        while let Some(ev) = heap.pop() {
+            if let Some(prev) = last {
+                prop_assert!(prev < ev.key, "{:?} popped before {:?}", prev, ev.key);
             }
-            if times[id as usize] as u64 == last_time {
-                last_seq_at_time = Some(id);
-            }
+            last = Some(ev.key);
+            popped += 1;
         }
+        prop_assert_eq!(popped, events.len());
     }
 
     #[test]

@@ -324,14 +324,6 @@ pub enum TraceEvent {
         /// Journal records replayed on top of the snapshot.
         replayed: u32,
     },
-    /// The deterministic socket-path fault engine perturbed a datagram.
-    /// The net-layer counterpart of [`TraceEvent::FaultInjected`]: that
-    /// variant records *plan-driven* simulator faults, this one records
-    /// seeded transport-level schedules (`wsn_net::fault`).
-    NetFaultInjected {
-        /// Which perturbation was applied.
-        fault: NetFaultKind,
-    },
 }
 
 /// The bounded-buffer vocabulary recorded by [`TraceEvent::QueueDrop`].
@@ -398,38 +390,6 @@ impl FaultKind {
     }
 }
 
-/// The socket-path fault vocabulary recorded by
-/// [`TraceEvent::NetFaultInjected`].
-///
-/// A closed, trace-level enum (not `wsn_net::fault`'s config type) so the
-/// JSON vocabulary stays stable as the fault engine grows knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetFaultKind {
-    /// The datagram was silently discarded.
-    Drop,
-    /// An extra copy of the datagram was delivered.
-    Duplicate,
-    /// The datagram was held past a later send (reordering).
-    Reorder,
-    /// Delivery was delayed without reordering past the window.
-    Delay,
-    /// Payload bytes were flipped in flight.
-    Corrupt,
-}
-
-impl NetFaultKind {
-    /// Stable lowercase name, used as the JSON `fault` value.
-    pub fn label(&self) -> &'static str {
-        match self {
-            NetFaultKind::Drop => "drop",
-            NetFaultKind::Duplicate => "duplicate",
-            NetFaultKind::Reorder => "reorder",
-            NetFaultKind::Delay => "delay",
-            NetFaultKind::Corrupt => "corrupt",
-        }
-    }
-}
-
 impl TraceEvent {
     /// Stable lowercase name of the variant, used as the JSON `kind`.
     pub fn kind(&self) -> &'static str {
@@ -478,7 +438,6 @@ impl TraceEvent {
             TraceEvent::WalAppend { .. } => "wal_append",
             TraceEvent::SnapshotWritten { .. } => "snapshot_written",
             TraceEvent::BsRestart { .. } => "bs_restart",
-            TraceEvent::NetFaultInjected { .. } => "net_fault_injected",
         }
     }
 
@@ -648,9 +607,6 @@ impl TraceRecord {
             }
             TraceEvent::BsRestart { replayed } => {
                 let _ = write!(s, ",\"replayed\":{replayed}");
-            }
-            TraceEvent::NetFaultInjected { fault } => {
-                let _ = write!(s, ",\"fault\":\"{}\"", fault.label());
             }
             TraceEvent::HelloSent
             | TraceEvent::BecameHead
@@ -926,12 +882,6 @@ mod tests {
                 TraceEvent::BsRestart { replayed: 12 },
                 "{\"seq\":0,\"at\":0,\"node\":1,\"kind\":\"bs_restart\",\"replayed\":12}",
             ),
-            (
-                TraceEvent::NetFaultInjected {
-                    fault: NetFaultKind::Reorder,
-                },
-                "{\"seq\":0,\"at\":0,\"node\":1,\"kind\":\"net_fault_injected\",\"fault\":\"reorder\"}",
-            ),
         ];
         for (event, expected) in cases {
             let rec = TraceRecord {
@@ -941,14 +891,6 @@ mod tests {
                 event,
             };
             assert_eq!(rec.to_json(), expected);
-        }
-        for k in [
-            NetFaultKind::Drop,
-            NetFaultKind::Duplicate,
-            NetFaultKind::Delay,
-            NetFaultKind::Corrupt,
-        ] {
-            assert!(!k.label().is_empty());
         }
     }
 

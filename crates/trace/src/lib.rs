@@ -32,10 +32,10 @@ pub mod provenance;
 pub mod sink;
 pub mod timeline;
 
-pub use event::{FaultKind, NetFaultKind, QueueKind, TraceEvent, TraceRecord};
+pub use event::{FaultKind, QueueKind, TraceEvent, TraceRecord};
 pub use frame::FrameKind;
 pub use provenance::RunManifest;
-pub use sink::{merge_shard_traces, BufferSink, JsonlSink, MemorySink, NullSink, TraceSink};
+pub use sink::{merge_region_traces, BufferSink, JsonlSink, MemorySink, NullSink, TraceSink};
 pub use timeline::Timeline;
 
 /// Node identifier, mirroring `wsn_sim::NodeId`.

@@ -1795,11 +1795,11 @@ impl ProtocolNode {
                 ctx.set_timer(TIMER_JOIN, SECOND);
             }
             Role::Undecided => self.start_initial_deployment(ctx),
-            // Already clustered: this is a simulator rebuild (node
-            // addition) or a reboot, not a fresh deployment. Pending
-            // timers did not survive; re-arm the autonomous refresh
-            // schedule, and a head resumes its heartbeat (members re-arm
-            // their watchdog on the next beat heard).
+            // Already clustered: this is a reboot, not a fresh
+            // deployment. Pending timers did not survive; re-arm the
+            // autonomous refresh schedule, and a head resumes its
+            // heartbeat (members re-arm their watchdog on the next beat
+            // heard).
             Role::Head | Role::Member => {
                 self.arm_auto_refresh(ctx);
                 self.arm_heartbeat(ctx);

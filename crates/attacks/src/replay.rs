@@ -117,7 +117,7 @@ mod tests {
         let mut handle = network(2);
         let src = handle.sensor_ids()[20];
         // A frame stamped far in the past (beyond the freshness window).
-        let window = handle.cfg().freshness_window;
+        let window = wsn_core::forward::FRESHNESS_WINDOW;
         // Advance simulated time well past the window by idling.
         let frame_tau = handle.sim().now();
         let frame = recorded_frame(&handle, src, frame_tau, b"old-news");

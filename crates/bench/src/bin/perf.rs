@@ -3,9 +3,9 @@
 //! Measures two layers and writes both into one JSON file at the repo
 //! root, so every later PR is compared against the same trajectory:
 //!
-//! * **Microbenches** (criterion-style median-of-samples): raw block
-//!   ciphers, the RC5 AEAD frame seal/open, CBC-MAC, HMAC-SHA256, the
-//!   PRF, and the full HELLO `seal_setup`/`open_setup` round trip.
+//! * **Microbenches** (median of samples): the raw RC5 block, the RC5
+//!   AEAD frame seal/open, CBC-MAC, HMAC-SHA256, the PRF, and the full
+//!   HELLO `seal_setup`/`open_setup` round trip.
 //! * **End-to-end sweeps**: wall-clock setup throughput (protocol
 //!   events per second over a full key-setup run) and steady-state
 //!   reading throughput (sealed readings pushed through an established
@@ -28,19 +28,18 @@
 //! `speedup` table (current over baseline, higher is better). See the
 //! "Perf baseline" section of EXPERIMENTS.md for methodology.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::black_box;
 use wsn_core::config::ProtocolConfig;
 use wsn_core::forward;
 use wsn_core::setup::{Scenario, SetupParams};
-use wsn_crypto::aes::Aes128;
 use wsn_crypto::authenc::AuthEnc;
 use wsn_crypto::cbcmac::CbcMac;
 use wsn_crypto::hmac::HmacSha256;
 use wsn_crypto::prf::Prf;
 use wsn_crypto::rc5::Rc5;
-use wsn_crypto::{BlockCipher, Key128};
+use wsn_crypto::Key128;
 
 /// Network size for the end-to-end sweeps (includes the base station).
 const E2E_N: usize = 150;
@@ -105,8 +104,8 @@ fn main() {
 /// One microbench measurement: `(json_key, ns_per_op)`.
 type Micro = (&'static str, f64);
 
-/// Times `f` with the same methodology as the vendored criterion:
-/// calibrate, size iterations for ~2 ms per sample, report the median.
+/// Times `f`: calibrate, size iterations for ~2 ms per sample, report the
+/// median.
 fn measure<R, F: FnMut() -> R>(samples: usize, mut f: F) -> f64 {
     let start = Instant::now();
     black_box(f());
@@ -137,7 +136,7 @@ fn run_micro(samples: usize) -> Vec<Micro> {
         out.push((name, ns));
     };
 
-    // The block ciphers encrypt in place and return `()`: the block
+    // The block cipher encrypts in place and returns `()`: the block
     // itself goes through `black_box`, or the optimizer deletes the
     // encryption and the row times an empty loop.
     let rc5 = Rc5::new(&key);
@@ -145,13 +144,6 @@ fn run_micro(samples: usize) -> Vec<Micro> {
     bench(
         "rc5_block_encrypt",
         measure(samples, || rc5.encrypt_block(black_box(&mut block8))),
-    );
-
-    let aes = Aes128::new(&key);
-    let mut block16 = [0u8; 16];
-    bench(
-        "aes128_block_encrypt",
-        measure(samples, || aes.encrypt_block(black_box(&mut block16))),
     );
 
     bench(

@@ -3,8 +3,7 @@
 //! The reproduction harness: one function per figure in the paper's
 //! evaluation (Section V) plus the security comparison of Section VI.
 //! The `figures` binary drives these and prints the same series the paper
-//! plots; criterion benches (`benches/`) cover the performance questions
-//! (cipher throughput, setup scaling, broadcast cost).
+//! plots; the `perf` binary times the hot paths (`BENCH_perf.json`).
 //!
 //! Every experiment is an average over independent seeded trials fanned
 //! out with [`wsn_sim::parallel::run_trials`]; results are deterministic

@@ -16,8 +16,9 @@ use crate::forward::{
 };
 use crate::fusion::DedupCache;
 use crate::msg::{ClusterId, DataUnit, Inner, Message};
-use crate::node::DropCounts;
+use crate::node::{DropCounts, LINK_PHASE_AT};
 use crate::persist::{BsSnapshot, StateMutation, SEQ_RESERVE_STRIDE};
+use crate::recovery;
 use crate::refresh;
 use crate::routing::Gradient;
 use crate::transport::Transport;
@@ -25,7 +26,7 @@ use rand::Rng;
 use std::collections::HashMap;
 use wsn_crypto::keychain::KeyChain;
 use wsn_crypto::Key128;
-use wsn_sim::event::MILLI;
+use wsn_sim::event::{SimTime, MILLI, SECOND};
 use wsn_sim::node::{App, Ctx, NodeId, TimerKey};
 
 /// Timer: originate a routing beacon flood.
@@ -40,6 +41,13 @@ pub const TIMER_BS_LINK: TimerKey = 2;
 pub const TIMER_BS_AUTO_REFRESH: TimerKey = 6;
 /// Timer: disclose the chain links of announced two-phase revocations.
 pub const TIMER_REVEAL: TimerKey = 12;
+
+/// Resynchronization window for implicit counters: the base station tries
+/// this many counter values past the last accepted one.
+pub const COUNTER_WINDOW: u64 = 16;
+
+/// Announce-to-reveal delay for two-phase revocation, microseconds.
+const REVOCATION_DISCLOSURE_DELAY: SimTime = SECOND;
 
 /// A reading accepted by the base station.
 #[derive(Clone, Debug, PartialEq)]
@@ -360,7 +368,7 @@ impl BaseStation {
                 // "The receiver can try a small window of counter values to
                 // recover the message."
                 let mut hit = None;
-                for ctr in window.candidates(self.cfg.counter_window) {
+                for ctr in window.candidates(COUNTER_WINDOW) {
                     if let Ok(data) = e2e_open_with(ae, unit.src, ctr, &unit.body) {
                         hit = Some((data, ctr));
                         break;
@@ -423,7 +431,7 @@ impl BaseStation {
                 Inner::RouteRequest => {
                     if self.cfg.recovery.enabled
                         && self.last_route_reply.is_none_or(|t| {
-                            ctx.now().saturating_sub(t) >= self.cfg.recovery.route_reply_cooldown
+                            ctx.now().saturating_sub(t) >= recovery::ROUTE_REPLY_COOLDOWN
                         })
                     {
                         // The gradient root itself is always a viable next
@@ -691,7 +699,7 @@ impl BaseStation {
         // so radio neighbors can authenticate BS-originated beacons.
         if !self.link_advertised {
             let jitter = ctx.rng().gen_range(0..200 * MILLI);
-            ctx.set_timer(TIMER_BS_LINK, self.cfg.link_phase_at + jitter);
+            ctx.set_timer(TIMER_BS_LINK, LINK_PHASE_AT + jitter);
         }
         self.arm_auto_refresh(ctx);
     }
@@ -760,7 +768,7 @@ impl BaseStation {
                             .encode(),
                         );
                         self.pending_reveals.push((self.revoke_seq, link));
-                        ctx.set_timer(TIMER_REVEAL, self.cfg.revocation_disclosure_delay);
+                        ctx.set_timer(TIMER_REVEAL, REVOCATION_DISCLOSURE_DELAY);
                     } else {
                         ctx.broadcast(build_revoke(link, self.revoke_seq, cids).encode());
                     }
@@ -886,7 +894,7 @@ mod tests {
     #[test]
     fn implicit_mode_rejects_outside_window() {
         let (mut bs, p) = bs_with(ProtocolConfig::default());
-        let beyond = ProtocolConfig::default().counter_window + 3;
+        let beyond = COUNTER_WINDOW + 3;
         bs.accept_data(sealed_unit(&p, 2, beyond, b"far", false));
         assert_eq!(bs.received.len(), 0);
         assert_eq!(bs.counter_rejects, 1);

@@ -59,6 +59,14 @@ pub const TIMER_HEAD_WATCH: TimerKey = 22;
 /// Timer: close the localized re-election window (recovery layer).
 pub const TIMER_REELECT: TimerKey = 23;
 
+/// Virtual time at which phase 2 (secure link establishment) starts.
+/// Must comfortably exceed the election window.
+pub(crate) const LINK_PHASE_AT: SimTime = 3 * SECOND;
+
+/// Maximum chain positions a revocation link may skip ahead (missed
+/// commands tolerated per accept).
+const MAX_CHAIN_SKIP: usize = 8;
+
 /// One candidate payload of a two-phase revocation announce:
 /// `(cluster ids, MAC under the not-yet-disclosed link)`.
 type AnnounceCandidate = (Vec<ClusterId>, [u8; crate::msg::SHORT_TAG]);
@@ -488,12 +496,12 @@ impl ProtocolNode {
         // the phases cannot interleave.
         let raw = exp_delay(ctx.rng(), self.cfg.election_rate);
         let delay_us = (raw * SECOND as f64) as SimTime;
-        let max = self.cfg.link_phase_at * 9 / 10;
+        let max = LINK_PHASE_AT * 9 / 10;
         ctx.set_timer(TIMER_ELECTION, delay_us.min(max));
         // Link phase with a little jitter so broadcasts don't pile onto a
         // single instant.
         let jitter = ctx.rng().gen_range(0..200 * MILLI);
-        ctx.set_timer(TIMER_LINK, self.cfg.link_phase_at + jitter);
+        ctx.set_timer(TIMER_LINK, LINK_PHASE_AT + jitter);
         ctx.set_timer(TIMER_ERASE, self.cfg.erase_km_at);
     }
 
@@ -1064,7 +1072,7 @@ impl ProtocolNode {
             seq,
             &cids,
             &tag,
-            self.cfg.max_chain_skip,
+            MAX_CHAIN_SKIP,
         )
         .is_err()
         {
@@ -1135,12 +1143,7 @@ impl ProtocolNode {
         if self.revoke_seen.contains(&seq) || self.verified_links.contains_key(&seq) {
             return;
         }
-        if self
-            .keys
-            .chain
-            .accept(&link, self.cfg.max_chain_skip)
-            .is_err()
-        {
+        if self.keys.chain.accept(&link, MAX_CHAIN_SKIP).is_err() {
             self.stats.drops.bad_auth += 1;
             return;
         }
@@ -1431,7 +1434,7 @@ impl ProtocolNode {
             || self.revoked
             || !self
                 .recovery
-                .route_reply_allowed(ctx.now(), rec.route_reply_cooldown)
+                .route_reply_allowed(ctx.now(), recovery::ROUTE_REPLY_COOLDOWN)
         {
             return;
         }
@@ -1457,8 +1460,8 @@ impl ProtocolNode {
         if !rec.enabled || rec.heartbeat_until == 0 || self.role != Role::Head || self.revoked {
             return;
         }
-        if ctx.now() + rec.heartbeat_period <= rec.heartbeat_until {
-            ctx.set_timer(TIMER_HEARTBEAT, rec.heartbeat_period);
+        if ctx.now() + recovery::HEARTBEAT_PERIOD <= rec.heartbeat_until {
+            ctx.set_timer(TIMER_HEARTBEAT, recovery::HEARTBEAT_PERIOD);
         }
     }
 
@@ -1483,18 +1486,16 @@ impl ProtocolNode {
     /// receipt — a member that never heard its head cannot lose it, which
     /// is what keeps 2-hop joiners from raising false alarms.
     fn arm_head_watch(&mut self, ctx: &mut impl Transport) {
-        let rec = &self.cfg.recovery;
-        if ctx.now() >= rec.heartbeat_until {
+        if ctx.now() >= self.cfg.recovery.heartbeat_until {
             return;
         }
-        let delay = rec
-            .heartbeat_period
-            .saturating_mul(SimTime::from(rec.heartbeat_miss_limit))
-            .saturating_add(rec.heartbeat_period / 2);
+        let delay = recovery::HEARTBEAT_PERIOD
+            .saturating_mul(SimTime::from(recovery::HEARTBEAT_MISS_LIMIT))
+            .saturating_add(recovery::HEARTBEAT_PERIOD / 2);
         ctx.set_timer(TIMER_HEAD_WATCH, delay);
     }
 
-    /// The watchdog starved: `heartbeat_miss_limit` consecutive beats
+    /// The watchdog starved: `HEARTBEAT_MISS_LIMIT` consecutive beats
     /// missed. Declare the head lost and run the paper's first-HELLO-wins
     /// timer rule locally: draw `Exp(λ)`; a draw inside the window makes
     /// this node a candidate, a draw outside makes it an adopter.
@@ -1518,14 +1519,14 @@ impl ProtocolNode {
         self.recovery.reelecting = true;
         let raw = exp_delay(ctx.rng(), self.cfg.election_rate);
         let delay_us = (raw * SECOND as f64) as SimTime;
-        if delay_us <= rec.reelect_window {
+        if delay_us <= recovery::REELECT_WINDOW {
             self.recovery.reelect_runner = true;
             ctx.set_timer(TIMER_REELECT, delay_us.max(1));
         } else {
             // Sit out the window; if no NewHead is heard by its end,
             // adopt into a neighboring cluster (§IV-E path).
             self.recovery.reelect_runner = false;
-            ctx.set_timer(TIMER_REELECT, rec.reelect_window);
+            ctx.set_timer(TIMER_REELECT, recovery::REELECT_WINDOW);
         }
     }
 
@@ -1717,15 +1718,14 @@ impl ProtocolNode {
         nonce: u64,
         sealed: &[u8],
     ) -> bool {
-        let rec = self.cfg.recovery;
-        if self.cfg.refresh_mode != RefreshMode::Hash || rec.max_catchup_epochs == 0 {
+        if self.cfg.refresh_mode != RefreshMode::Hash {
             return false;
         }
         let Some(base) = self.cluster_key_for(cid) else {
             return false;
         };
         let mut candidate = base;
-        for k in 1..=rec.max_catchup_epochs {
+        for k in 1..=recovery::MAX_CATCHUP_EPOCHS {
             candidate = refresh::hash_step(&candidate);
             let mut scratch = std::mem::take(&mut self.rx_scratch);
             let result = unwrap_in(

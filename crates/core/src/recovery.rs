@@ -24,7 +24,7 @@
 //!   answers with a scoped beacon, proving itself a viable first hop.
 //! * **Stale-epoch catch-up** — a MAC failure against a held cluster key
 //!   is retried along the hash chain `Kc <- F(Kc)` for up to
-//!   `max_catchup_epochs` steps; success ratchets the whole key set
+//!   `MAX_CATCHUP_EPOCHS` steps; success ratchets the whole key set
 //!   forward in lockstep (hash refresh is globally synchronized).
 //!
 //! Everything here is deterministic: the pending map is a `BTreeMap` (no
@@ -37,7 +37,28 @@ use bytes::Bytes;
 use rand::Rng;
 use std::collections::BTreeMap;
 use wsn_crypto::Key128;
-use wsn_sim::event::SimTime;
+use wsn_sim::event::{SimTime, SECOND};
+
+/// Cluster-head heartbeat period, microseconds. Heads broadcast a keyed
+/// heartbeat under the cluster key at this interval.
+pub(crate) const HEARTBEAT_PERIOD: SimTime = 2 * SECOND;
+
+/// Consecutive missed heartbeats before a member declares its head lost
+/// and starts localized re-election.
+pub(crate) const HEARTBEAT_MISS_LIMIT: u32 = 3;
+
+/// Upper clamp on the Exp(λ) re-election delay, microseconds — keeps the
+/// unlucky tail from stalling failover.
+pub(crate) const REELECT_WINDOW: SimTime = SECOND;
+
+/// How many missed refresh epochs the hash-chain catch-up will bridge by
+/// ratcheting `Kc <- F(Kc)` forward. Beyond this the node must re-enter
+/// through the wiped-rejoin path.
+pub(crate) const MAX_CATCHUP_EPOCHS: u32 = 16;
+
+/// Minimum spacing between gradient-repair beacon replies from one node,
+/// microseconds. Rate-limits route-repair floods.
+pub(crate) const ROUTE_REPLY_COOLDOWN: SimTime = 500_000;
 
 /// What a pending ARQ entry carries — readings and refresh messages get
 /// acknowledged transport; everything else stays fire-and-forget.
@@ -103,7 +124,7 @@ pub struct RecoveryState {
     /// Own-cluster MAC failures that catch-up could not bridge. A
     /// persistently growing count is the driver's signal that the node
     /// needs the wiped-rejoin path (recluster mode, or staleness beyond
-    /// `max_catchup_epochs`).
+    /// `MAX_CATCHUP_EPOCHS`).
     pub unhealed_auth_failures: u64,
 }
 

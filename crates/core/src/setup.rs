@@ -438,7 +438,7 @@ impl NetworkHandle {
         if !self.cfg.recovery.enabled {
             return;
         }
-        let period = self.cfg.recovery.heartbeat_period;
+        let period = crate::recovery::HEARTBEAT_PERIOD;
         for id in self.sensor_ids() {
             if !self.sim.node_is_up(id) {
                 continue;

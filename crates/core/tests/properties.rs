@@ -4,7 +4,9 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use wsn_core::config::ProtocolConfig;
-use wsn_core::forward::{e2e_open, e2e_seal, open_setup, seal_setup, unwrap, wrap, CounterWindow};
+use wsn_core::forward::{
+    e2e_open, e2e_seal, open_setup, seal_setup, unwrap, wrap, CounterWindow, FRESHNESS_WINDOW,
+};
 use wsn_core::join::{join_tag, verify_join_tag};
 use wsn_core::keys::Provisioner;
 use wsn_core::msg::{DataUnit, Inner, Message, SHORT_TAG};
@@ -137,7 +139,7 @@ proptest! {
             wrap(&kc, cid, sender, seq as u64, tau, hops, &inner)
         else { unreachable!() };
         // Receive within the freshness window.
-        let now = tau + cfg.freshness_window / 2;
+        let now = tau + FRESHNESS_WINDOW / 2;
         let u = unwrap(&kc, cid, nonce, &sealed, now, &cfg).unwrap();
         prop_assert_eq!(u.inner, inner);
         prop_assert_eq!(u.tau, tau);

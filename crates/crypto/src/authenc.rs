@@ -6,39 +6,39 @@
 //! shared shape: CTR encryption under one key, a MAC over the *ciphertext*
 //! (encrypt-then-MAC, the provably-sound order) under an independent key.
 //!
-//! The default cipher/MAC pairing is RC5-CTR + CBC-MAC(RC5) with an 8-byte
-//! tag; see [`AuthEncAead`] for the generic version.
+//! The cipher/MAC pairing is TinySec's: RC5-CTR + CBC-MAC(RC5) with an
+//! 8-byte tag.
 
 use crate::cbcmac::{CbcMac, Tag};
 use crate::ctr::Ctr;
-use crate::rc5::Rc5;
-use crate::{BlockCipher, CryptoError, Key128};
+use crate::rc5::{Rc5, BLOCK_BYTES};
+use crate::{CryptoError, Key128};
 
-/// Authenticated encryption generic over the block cipher.
+/// Transmitted tag length in bytes (one full RC5 block).
+pub const TAG_BYTES: usize = 8;
+
+const _: () = assert!(TAG_BYTES >= 4, "tags below 4 bytes are trivially forgeable");
+const _: () = assert!(TAG_BYTES <= BLOCK_BYTES, "tag longer than cipher block");
+
+/// The protocol's authenticated encryption: RC5-32/12/16 in CTR mode +
+/// length-prepended CBC-MAC(RC5), [`TAG_BYTES`]-byte tags.
+///
+/// Construction expands both RC5 key schedules, so hot paths should build
+/// one per key pair and reuse it (`wsn-core` keeps a per-peer cache).
 #[derive(Clone)]
-pub struct AuthEncAead<C: BlockCipher> {
-    enc: Ctr<C>,
-    mac: CbcMac<C>,
-    tag_bytes: usize,
+pub struct AuthEnc {
+    enc: Ctr,
+    mac: CbcMac,
 }
 
-impl<C: BlockCipher> AuthEncAead<C> {
-    /// Builds from two *independently keyed* cipher instances (encryption
-    /// and MAC keys must differ — the paper calls this out explicitly) and a
-    /// transmitted tag length.
-    pub fn from_ciphers(enc_cipher: C, mac_cipher: C, tag_bytes: usize) -> Self {
-        assert!(tag_bytes >= 4, "tags below 4 bytes are trivially forgeable");
-        assert!(tag_bytes <= C::BLOCK_BYTES, "tag longer than cipher block");
-        AuthEncAead {
-            enc: Ctr::new(enc_cipher),
-            mac: CbcMac::new(mac_cipher),
-            tag_bytes,
+impl AuthEnc {
+    /// Builds from *independent* encryption and MAC keys (the paper calls
+    /// this out explicitly).
+    pub fn new(k_encr: Key128, k_mac: Key128) -> Self {
+        AuthEnc {
+            enc: Ctr::new(Rc5::new(&k_encr)),
+            mac: CbcMac::new(Rc5::new(&k_mac)),
         }
-    }
-
-    /// Transmitted tag length in bytes.
-    pub fn tag_bytes(&self) -> usize {
-        self.tag_bytes
     }
 
     /// Seals `plaintext` under `nonce`: returns `ciphertext | tag`.
@@ -47,7 +47,7 @@ impl<C: BlockCipher> AuthEncAead<C> {
     /// reconstructs the nonce from its counter detects desynchronization as
     /// a tag failure rather than as garbled plaintext.
     pub fn seal(&self, nonce: u64, plaintext: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(plaintext.len() + self.tag_bytes);
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_BYTES);
         out.extend_from_slice(plaintext);
         let tag = self.seal_in_place_detached(nonce, &mut out);
         out.extend_from_slice(tag.as_bytes());
@@ -56,10 +56,10 @@ impl<C: BlockCipher> AuthEncAead<C> {
 
     /// Opens `sealed` (= `ciphertext | tag`) under `nonce`.
     pub fn open(&self, nonce: u64, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        if sealed.len() < self.tag_bytes {
+        if sealed.len() < TAG_BYTES {
             return Err(CryptoError::Truncated);
         }
-        let split = sealed.len() - self.tag_bytes;
+        let split = sealed.len() - TAG_BYTES;
         let (ct, tag) = sealed.split_at(split);
         let mut out = ct.to_vec();
         self.open_in_place_detached(nonce, &mut out, tag)?;
@@ -67,9 +67,9 @@ impl<C: BlockCipher> AuthEncAead<C> {
     }
 
     /// Encrypts `data` in place and returns the detached tag (over
-    /// `nonce ‖ ciphertext`, truncated to the configured length). The
-    /// allocation-free core of [`AuthEncAead::seal`]: callers assembling a
-    /// frame encrypt the payload region directly and append the tag.
+    /// `nonce ‖ ciphertext`). The allocation-free core of
+    /// [`AuthEnc::seal`]: callers assembling a frame encrypt the payload
+    /// region directly and append the tag.
     pub fn seal_in_place_detached(&self, nonce: u64, data: &mut [u8]) -> Tag {
         self.enc.apply(nonce, data);
         self.ct_tag(nonce, data)
@@ -77,14 +77,14 @@ impl<C: BlockCipher> AuthEncAead<C> {
 
     /// Verifies `tag` over `nonce ‖ ct`, then decrypts `ct` in place. On
     /// error the ciphertext is left untouched. The allocation-free core of
-    /// [`AuthEncAead::open`].
+    /// [`AuthEnc::open`].
     pub fn open_in_place_detached(
         &self,
         nonce: u64,
         ct: &mut [u8],
         tag: &[u8],
     ) -> Result<(), CryptoError> {
-        if tag.len() != self.tag_bytes {
+        if tag.len() != TAG_BYTES {
             return Err(CryptoError::Truncated);
         }
         let expected = self.ct_tag(nonce, ct);
@@ -99,70 +99,13 @@ impl<C: BlockCipher> AuthEncAead<C> {
         let mut s = self.mac.stream(8 + ct.len() as u64);
         s.update(&nonce.to_be_bytes());
         s.update(ct);
-        s.finalize_truncated(self.tag_bytes)
-    }
-}
-
-/// The protocol's default authenticated-encryption configuration:
-/// RC5-32/12/16 in CTR mode + length-prepended CBC-MAC(RC5), 8-byte tags.
-///
-/// Construction expands both RC5 key schedules, so hot paths should build
-/// one per key pair and reuse it (`wsn-core` keeps a per-peer cache).
-#[derive(Clone)]
-pub struct AuthEnc {
-    inner: AuthEncAead<Rc5>,
-}
-
-/// Default transmitted tag length (one full RC5 block).
-pub const DEFAULT_TAG_BYTES: usize = 8;
-
-impl AuthEnc {
-    /// Builds from independent encryption and MAC keys.
-    pub fn new(k_encr: Key128, k_mac: Key128) -> Self {
-        AuthEnc {
-            inner: AuthEncAead::from_ciphers(
-                Rc5::new(&k_encr),
-                Rc5::new(&k_mac),
-                DEFAULT_TAG_BYTES,
-            ),
-        }
-    }
-
-    /// See [`AuthEncAead::seal`].
-    pub fn seal(&self, nonce: u64, plaintext: &[u8]) -> Vec<u8> {
-        self.inner.seal(nonce, plaintext)
-    }
-
-    /// See [`AuthEncAead::open`].
-    pub fn open(&self, nonce: u64, sealed: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        self.inner.open(nonce, sealed)
-    }
-
-    /// See [`AuthEncAead::seal_in_place_detached`].
-    pub fn seal_in_place_detached(&self, nonce: u64, data: &mut [u8]) -> Tag {
-        self.inner.seal_in_place_detached(nonce, data)
-    }
-
-    /// See [`AuthEncAead::open_in_place_detached`].
-    pub fn open_in_place_detached(
-        &self,
-        nonce: u64,
-        ct: &mut [u8],
-        tag: &[u8],
-    ) -> Result<(), CryptoError> {
-        self.inner.open_in_place_detached(nonce, ct, tag)
-    }
-
-    /// Overhead added by sealing, in bytes.
-    pub fn overhead(&self) -> usize {
-        self.inner.tag_bytes()
+        s.finalize_truncated(TAG_BYTES)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speck::Speck128_128;
 
     fn ae() -> AuthEnc {
         AuthEnc::new(
@@ -177,7 +120,7 @@ mod tests {
         for len in [0usize, 1, 8, 13, 64] {
             let msg = vec![0xCD; len];
             let sealed = ae.seal(5, &msg);
-            assert_eq!(sealed.len(), len + DEFAULT_TAG_BYTES);
+            assert_eq!(sealed.len(), len + TAG_BYTES);
             assert_eq!(ae.open(5, &sealed).unwrap(), msg, "len {len}");
         }
     }
@@ -225,23 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_over_speck128() {
-        let ae = AuthEncAead::from_ciphers(
-            Speck128_128::new(&Key128::from_bytes([1; 16])),
-            Speck128_128::new(&Key128::from_bytes([2; 16])),
-            16,
-        );
-        let sealed = ae.seal(9, b"sixteen byte tag");
-        assert_eq!(ae.open(9, &sealed).unwrap(), b"sixteen byte tag");
-    }
-
-    #[test]
-    #[should_panic]
-    fn tiny_tag_rejected_at_construction() {
-        let _ = AuthEncAead::from_ciphers(Rc5::new(&Key128::ZERO), Rc5::new(&Key128::ZERO), 2);
-    }
-
-    #[test]
     fn in_place_matches_vec_path() {
         let ae = ae();
         for len in [0usize, 1, 8, 13, 64] {
@@ -253,7 +179,7 @@ mod tests {
             buf.extend_from_slice(tag.as_bytes());
             assert_eq!(buf, sealed, "len {len}");
 
-            let split = sealed.len() - DEFAULT_TAG_BYTES;
+            let split = sealed.len() - TAG_BYTES;
             let mut ct = sealed[..split].to_vec();
             ae.open_in_place_detached(5, &mut ct, &sealed[split..])
                 .unwrap();
@@ -265,7 +191,7 @@ mod tests {
     fn in_place_open_leaves_ciphertext_on_bad_tag() {
         let ae = ae();
         let sealed = ae.seal(7, b"reading");
-        let split = sealed.len() - DEFAULT_TAG_BYTES;
+        let split = sealed.len() - TAG_BYTES;
         let mut ct = sealed[..split].to_vec();
         let mut bad_tag = sealed[split..].to_vec();
         bad_tag[0] ^= 1;

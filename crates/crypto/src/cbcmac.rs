@@ -1,4 +1,4 @@
-//! Length-prepended CBC-MAC over any [`BlockCipher`].
+//! Length-prepended CBC-MAC over RC5.
 //!
 //! Raw CBC-MAC is only secure for fixed-length messages; prepending the
 //! message length as the first block restores security for variable-length
@@ -7,14 +7,14 @@
 //! RC5, so it is the period-accurate choice for the protocol's hop-by-hop
 //! tags.
 
-use crate::block::{BlockCipher, MAX_BLOCK_BYTES};
 use crate::ct;
+use crate::rc5::{Rc5, BLOCK_BYTES};
 
 /// A computed CBC-MAC tag, held inline (no heap allocation). At most one
-/// cipher block long.
+/// RC5 block long.
 #[derive(Clone, Copy)]
 pub struct Tag {
-    bytes: [u8; MAX_BLOCK_BYTES],
+    bytes: [u8; BLOCK_BYTES],
     len: usize,
 }
 
@@ -37,19 +37,18 @@ impl AsRef<[u8]> for Tag {
     }
 }
 
-/// A CBC-MAC instance over block cipher `C`.
+/// A CBC-MAC instance over RC5.
 ///
-/// The tag is one full cipher block (8 bytes for RC5/Speck64, 16 for
-/// AES/Speck128). The protocol layer chooses how many tag bytes to transmit
-/// via [`CbcMac::tag_truncated`].
+/// The tag is one full RC5 block (8 bytes); [`CbcMac::tag_truncated`]
+/// returns a prefix of it.
 #[derive(Clone)]
-pub struct CbcMac<C: BlockCipher> {
-    cipher: C,
+pub struct CbcMac {
+    cipher: Rc5,
 }
 
-impl<C: BlockCipher> CbcMac<C> {
+impl CbcMac {
     /// Wraps an already-keyed cipher.
-    pub fn new(cipher: C) -> Self {
+    pub fn new(cipher: Rc5) -> Self {
         CbcMac { cipher }
     }
 
@@ -61,20 +60,16 @@ impl<C: BlockCipher> CbcMac<C> {
     /// byte-identical to [`CbcMac::tag`] over the concatenation. Everything
     /// stays on the stack, so hot paths can MAC `header ‖ ciphertext`
     /// without first gathering the pieces into a scratch vector.
-    pub fn stream(&self, total_len: u64) -> CbcMacStream<'_, C> {
-        let bs = C::BLOCK_BYTES;
-        debug_assert!((8..=MAX_BLOCK_BYTES).contains(&bs));
-        let mut state = [0u8; MAX_BLOCK_BYTES];
-
-        // Block 0: the message length, big-endian, right-aligned. This makes
-        // the encoding prefix-free across lengths.
-        state[bs - 8..bs].copy_from_slice(&total_len.to_be_bytes());
-        self.cipher.encrypt_block(&mut state[..bs]);
+    pub fn stream(&self, total_len: u64) -> CbcMacStream<'_> {
+        // Block 0: the message length, big-endian. This makes the encoding
+        // prefix-free across lengths.
+        let mut state = total_len.to_be_bytes();
+        self.cipher.encrypt_block(&mut state);
 
         CbcMacStream {
             mac: self,
             state,
-            buf: [0u8; MAX_BLOCK_BYTES],
+            buf: [0u8; BLOCK_BYTES],
             buffered: 0,
             remaining: total_len,
         }
@@ -87,33 +82,29 @@ impl<C: BlockCipher> CbcMac<C> {
     /// length-prepend block 0, then message blocks, 10*-padded final
     /// partial.
     fn tag_inline(&self, data: &[u8]) -> Tag {
-        let bs = C::BLOCK_BYTES;
-        debug_assert!((8..=MAX_BLOCK_BYTES).contains(&bs));
-        let mut state = [0u8; MAX_BLOCK_BYTES];
+        // Block 0: the message length, big-endian.
+        let mut state = (data.len() as u64).to_be_bytes();
+        self.cipher.encrypt_block(&mut state);
 
-        // Block 0: the message length, big-endian, right-aligned.
-        state[bs - 8..bs].copy_from_slice(&(data.len() as u64).to_be_bytes());
-        self.cipher.encrypt_block(&mut state[..bs]);
-
-        let mut chunks = data.chunks_exact(bs);
+        let mut chunks = data.chunks_exact(BLOCK_BYTES);
         for block in &mut chunks {
-            for (s, d) in state[..bs].iter_mut().zip(block) {
+            for (s, d) in state.iter_mut().zip(block) {
                 *s ^= d;
             }
-            self.cipher.encrypt_block(&mut state[..bs]);
+            self.cipher.encrypt_block(&mut state);
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
             // 10* padding for the final partial block.
-            for (s, d) in state[..bs].iter_mut().zip(rest) {
+            for (s, d) in state.iter_mut().zip(rest) {
                 *s ^= d;
             }
             state[rest.len()] ^= 0x80;
-            self.cipher.encrypt_block(&mut state[..bs]);
+            self.cipher.encrypt_block(&mut state);
         }
         Tag {
             bytes: state,
-            len: bs,
+            len: BLOCK_BYTES,
         }
     }
 
@@ -124,10 +115,9 @@ impl<C: BlockCipher> CbcMac<C> {
 
     /// Computes a tag truncated to `n` bytes (`n <= BLOCK_BYTES`).
     ///
-    /// Sensor stacks commonly send 4-byte MACs to save radio energy; the
-    /// protocol configuration controls the choice.
+    /// Sensor stacks commonly send 4-byte MACs to save radio energy.
     pub fn tag_truncated(&self, data: &[u8], n: usize) -> Vec<u8> {
-        assert!(n <= C::BLOCK_BYTES, "tag longer than cipher block");
+        assert!(n <= BLOCK_BYTES, "tag longer than cipher block");
         let mut t = self.tag_inline(data);
         t.len = n;
         t.as_bytes().to_vec()
@@ -135,7 +125,7 @@ impl<C: BlockCipher> CbcMac<C> {
 
     /// Verifies a (possibly truncated) tag in constant time.
     pub fn verify(&self, data: &[u8], tag: &[u8]) -> bool {
-        if tag.is_empty() || tag.len() > C::BLOCK_BYTES {
+        if tag.is_empty() || tag.len() > BLOCK_BYTES {
             return false;
         }
         let expected = self.tag_inline(data);
@@ -144,27 +134,25 @@ impl<C: BlockCipher> CbcMac<C> {
 }
 
 /// In-progress streaming CBC-MAC; see [`CbcMac::stream`].
-pub struct CbcMacStream<'a, C: BlockCipher> {
-    mac: &'a CbcMac<C>,
-    state: [u8; MAX_BLOCK_BYTES],
-    buf: [u8; MAX_BLOCK_BYTES],
+pub struct CbcMacStream<'a> {
+    mac: &'a CbcMac,
+    state: [u8; BLOCK_BYTES],
+    buf: [u8; BLOCK_BYTES],
     buffered: usize,
     remaining: u64,
 }
 
-impl<C: BlockCipher> CbcMacStream<'_, C> {
+impl CbcMacStream<'_> {
     fn absorb_block(&mut self) {
-        let bs = C::BLOCK_BYTES;
-        for (s, d) in self.state[..bs].iter_mut().zip(self.buf[..bs].iter()) {
+        for (s, d) in self.state.iter_mut().zip(self.buf) {
             *s ^= d;
         }
-        self.mac.cipher.encrypt_block(&mut self.state[..bs]);
+        self.mac.cipher.encrypt_block(&mut self.state);
         self.buffered = 0;
     }
 
     /// Absorbs the next `data` bytes of the message.
     pub fn update(&mut self, mut data: &[u8]) {
-        let bs = C::BLOCK_BYTES;
         self.remaining = self
             .remaining
             .checked_sub(data.len() as u64)
@@ -173,10 +161,10 @@ impl<C: BlockCipher> CbcMacStream<'_, C> {
             // A full buffer is absorbed only once more data arrives, so at
             // finalize a non-empty buffer is exactly the final block —
             // padded when partial, absorbed as-is when full.
-            if self.buffered == bs {
+            if self.buffered == BLOCK_BYTES {
                 self.absorb_block();
             }
-            let take = (bs - self.buffered).min(data.len());
+            let take = (BLOCK_BYTES - self.buffered).min(data.len());
             self.buf[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
@@ -185,24 +173,23 @@ impl<C: BlockCipher> CbcMacStream<'_, C> {
 
     /// Finishes and returns the full-block tag.
     pub fn finalize(self) -> Tag {
-        self.finalize_truncated(C::BLOCK_BYTES)
+        self.finalize_truncated(BLOCK_BYTES)
     }
 
     /// Finishes and returns the tag truncated to `n` bytes.
     pub fn finalize_truncated(mut self, n: usize) -> Tag {
-        assert!(n <= C::BLOCK_BYTES, "tag longer than cipher block");
+        assert!(n <= BLOCK_BYTES, "tag longer than cipher block");
         assert_eq!(self.remaining, 0, "fewer bytes than the declared length");
-        let bs = C::BLOCK_BYTES;
-        if self.buffered == bs {
+        if self.buffered == BLOCK_BYTES {
             self.absorb_block();
         } else if self.buffered > 0 {
             // 10* padding for the final partial block.
             let buffered = self.buffered;
-            for (s, d) in self.state[..bs].iter_mut().zip(self.buf[..buffered].iter()) {
+            for (s, d) in self.state.iter_mut().zip(&self.buf[..buffered]) {
                 *s ^= d;
             }
             self.state[buffered] ^= 0x80;
-            self.mac.cipher.encrypt_block(&mut self.state[..bs]);
+            self.mac.cipher.encrypt_block(&mut self.state);
         }
         Tag {
             bytes: self.state,
@@ -214,11 +201,9 @@ impl<C: BlockCipher> CbcMacStream<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rc5::Rc5;
-    use crate::speck::Speck128_128;
     use crate::Key128;
 
-    fn mac_rc5() -> CbcMac<Rc5> {
+    fn mac_rc5() -> CbcMac {
         CbcMac::new(Rc5::new(&Key128::from_bytes([0x11; 16])))
     }
 
@@ -272,14 +257,6 @@ mod tests {
         let m = mac_rc5();
         assert!(!m.verify(b"x", &[]));
         assert!(!m.verify(b"x", &[0u8; 9]));
-    }
-
-    #[test]
-    fn works_over_16_byte_block_cipher() {
-        let m = CbcMac::new(Speck128_128::new(&Key128::from_bytes([0x22; 16])));
-        let tag = m.tag(b"block sized payloads work too ..1234");
-        assert_eq!(tag.len(), 16);
-        assert!(m.verify(b"block sized payloads work too ..1234", &tag));
     }
 
     #[test]

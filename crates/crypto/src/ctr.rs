@@ -1,4 +1,4 @@
-//! Counter (CTR) mode over any [`BlockCipher`].
+//! Counter (CTR) mode over RC5.
 //!
 //! The paper's Step 1 achieves semantic security "through the use of a
 //! counter C that is shared between the source node and the base station":
@@ -7,10 +7,10 @@
 //! supported at the protocol layer). CTR mode is the natural realization:
 //! the keystream block for position `i` is `E_K(nonce || ctr+i)`.
 
-use crate::block::{BlockCipher, MAX_BLOCK_BYTES};
+use crate::rc5::{Rc5, BLOCK_BYTES};
 
-/// Maximum number of blocks per message under an 8-byte-block cipher: the
-/// low [`NONCE_BLOCK_BITS`] bits of the counter word index blocks within a
+/// Log2 of the maximum number of blocks per message: the low
+/// [`NONCE_BLOCK_BITS`] bits of the counter word index blocks within a
 /// message, so nonces from [`message_nonce`] never collide across messages.
 pub const NONCE_BLOCK_BITS: u32 = 10;
 
@@ -27,45 +27,32 @@ pub fn message_nonce(sender: u32, seq: u64) -> u64 {
     ((sender as u64 & 0x3F_FFFF) << 42) | ((seq & 0xFFFF_FFFF) << NONCE_BLOCK_BITS)
 }
 
-/// CTR-mode encryptor/decryptor over cipher `C`.
+/// CTR-mode encryptor/decryptor over RC5.
 #[derive(Clone)]
-pub struct Ctr<C: BlockCipher> {
-    cipher: C,
+pub struct Ctr {
+    cipher: Rc5,
 }
 
-impl<C: BlockCipher> Ctr<C> {
+impl Ctr {
     /// Wraps an already-keyed cipher.
-    pub fn new(cipher: C) -> Self {
+    pub fn new(cipher: Rc5) -> Self {
         Ctr { cipher }
     }
 
     /// XORs the keystream for (`nonce`, starting counter 0) into `data` in
     /// place. Calling it twice with the same arguments decrypts.
     ///
-    /// For 16-byte-block ciphers the counter block is `nonce (8 bytes BE) ||
-    /// block-index (8 bytes BE)` — any `u64` nonce is safe. For 8-byte-block
-    /// ciphers the counter word is `nonce + block-index`, so the caller must
-    /// space nonces by at least the message block count; [`message_nonce`]
-    /// produces nonces with 2^10 blocks of reserved space. **Never reuse a
-    /// (key, counter-word) pair** — the protocol layer guarantees this via
-    /// `message_nonce(sender, seq)` with monotone per-sender sequence
-    /// numbers.
+    /// The counter block for block `i` is `nonce + i` (8 bytes BE), so the
+    /// caller must space nonces by at least the message block count;
+    /// [`message_nonce`] produces nonces with 2^10 blocks of reserved
+    /// space. **Never reuse a (key, counter-word) pair** — the protocol
+    /// layer guarantees this via `message_nonce(sender, seq)` with
+    /// monotone per-sender sequence numbers.
     pub fn apply(&self, nonce: u64, data: &mut [u8]) {
-        let bs = C::BLOCK_BYTES;
-        debug_assert!(bs <= MAX_BLOCK_BYTES);
-        let mut keystream_buf = [0u8; MAX_BLOCK_BYTES];
-        let keystream: &mut [u8] = &mut keystream_buf[..bs];
-        for (block_index, chunk) in data.chunks_mut(bs).enumerate() {
-            keystream.iter_mut().for_each(|b| *b = 0);
-            if bs >= 16 {
-                keystream[..8].copy_from_slice(&nonce.to_be_bytes());
-                keystream[8..16].copy_from_slice(&(block_index as u64).to_be_bytes());
-            } else {
-                let word = nonce.wrapping_add(block_index as u64);
-                keystream[..8].copy_from_slice(&word.to_be_bytes());
-            }
-            self.cipher.encrypt_block(&mut *keystream);
-            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
+        for (block_index, chunk) in data.chunks_mut(BLOCK_BYTES).enumerate() {
+            let mut keystream = nonce.wrapping_add(block_index as u64).to_be_bytes();
+            self.cipher.encrypt_block(&mut keystream);
+            for (d, k) in chunk.iter_mut().zip(keystream) {
                 *d ^= k;
             }
         }
@@ -87,9 +74,6 @@ impl<C: BlockCipher> Ctr<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aes::Aes128;
-    use crate::rc5::Rc5;
-    use crate::speck::Speck64_128;
     use crate::Key128;
 
     #[test]
@@ -102,8 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_aes_multiblock() {
-        let ctr = Ctr::new(Aes128::new(&Key128::from_bytes([2; 16])));
+    fn roundtrip_multiblock_wrapping_nonce() {
+        // The counter word wraps past u64::MAX mid-message.
+        let ctr = Ctr::new(Rc5::new(&Key128::from_bytes([2; 16])));
         let msg: Vec<u8> = (0..100).collect();
         let ct = ctr.encrypt(u64::MAX, &msg);
         assert_eq!(ctr.decrypt(u64::MAX, &ct), msg);
@@ -111,7 +96,7 @@ mod tests {
 
     #[test]
     fn wrong_nonce_garbles() {
-        let ctr = Ctr::new(Speck64_128::new(&Key128::from_bytes([3; 16])));
+        let ctr = Ctr::new(Rc5::new(&Key128::from_bytes([3; 16])));
         let ct = ctr.encrypt(1, b"secret!!secret!!");
         assert_ne!(ctr.decrypt(2, &ct), b"secret!!secret!!".to_vec());
     }

@@ -8,15 +8,14 @@
 //! pseudo-random function `F` — as black boxes with standard security
 //! properties. Sensor-network software of that era (TinySec, SPINS) used
 //! small software block ciphers (RC5, Skipjack) with CBC-MAC; this crate
-//! provides period-accurate and modern choices behind common traits so the
-//! protocol layer stays cipher-agnostic:
+//! answers the black boxes with TinySec's pairing:
 //!
-//! * **Block ciphers**: [`rc5::Rc5`] (RC5-32/12/16, the TinySec default),
-//!   [`speck::Speck64_128`] / [`speck::Speck128_128`], and [`aes::Aes128`].
+//! * **Block cipher**: [`rc5::Rc5`] (RC5-32/12/16, the TinySec default).
 //! * **Hashing / MACs**: [`sha256::Sha256`], [`hmac::HmacSha256`], and a
-//!   length-prepended [`cbcmac::CbcMac`] over any block cipher.
-//! * **Encryption modes**: [`ctr::Ctr`] counter mode (the paper's Step 1 uses
-//!   a shared counter for semantic security).
+//!   length-prepended [`cbcmac::CbcMac`] over RC5.
+//! * **Encryption**: [`ctr::Ctr`] counter mode over RC5 (the paper's Step 1
+//!   uses a shared counter for semantic security), composed with CBC-MAC
+//!   into encrypt-then-MAC by [`authenc::AuthEnc`].
 //! * **Key derivation**: [`prf::Prf`] implements the paper's `F`, used for
 //!   `K_encr = F(K, 0)`, `K_mac = F(K, 1)`, cluster keys `Kc_i = F(KMC, i)`,
 //!   and hash-refresh `Kc <- F(Kc)`. Hot paths hold a [`prf::PrfKey`] /
@@ -27,8 +26,8 @@
 //!   reproducible from a single seed.
 //!
 //! Everything is implemented in safe Rust with no external dependencies and
-//! validated against published test vectors (Rivest's RC5 vectors, the Speck
-//! paper appendix, FIPS-197, FIPS-180 and RFC 4231).
+//! validated against published test vectors (Rivest's RC5 vectors, FIPS-180
+//! and RFC 4231).
 //!
 //! ## Quick example
 //!
@@ -48,9 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aes;
 pub mod authenc;
-pub mod block;
 pub mod cbcmac;
 pub mod ct;
 pub mod ctr;
@@ -60,12 +57,9 @@ pub mod keychain;
 pub mod prf;
 pub mod rc5;
 pub mod sha256;
-pub mod speck;
-pub mod xtea;
 
 mod key;
 
-pub use block::{BlockCipher, MAX_BLOCK_BYTES};
 pub use key::{Key128, KEY_BYTES};
 
 /// Errors produced by authenticated operations in this crate.

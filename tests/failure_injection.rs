@@ -152,7 +152,7 @@ fn partition_source(o: &mut SetupOutcome, lost: usize) -> u32 {
 
 #[test]
 fn implicit_counters_recover_within_window_only() {
-    let window = ProtocolConfig::default().counter_window as usize;
+    let window = wsn_core::base_station::COUNTER_WINDOW as usize;
 
     // Outage shorter than the window: the BS resynchronizes.
     let mut o = lossy_setup(3, 0.0);
@@ -180,7 +180,7 @@ fn implicit_counters_recover_within_window_only() {
 
 #[test]
 fn explicit_counters_recover_from_any_outage() {
-    let window = ProtocolConfig::default().counter_window as usize;
+    let window = wsn_core::base_station::COUNTER_WINDOW as usize;
     let mut o = Scenario::new(SetupParams {
         n: 400,
         density: 16.0,

@@ -177,7 +177,7 @@ proptest! {
         // dropped as stale and counted, never delivered.
         let tau = handle.sim().now();
         let stale_frame = recorded_frame(&handle, src, tau, b"old-news");
-        let window = handle.cfg().freshness_window;
+        let window = wsn_core::forward::FRESHNESS_WINDOW;
         let stale0: u64 = handle
             .sensor_ids()
             .iter()

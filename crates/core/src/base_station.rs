@@ -11,10 +11,9 @@
 use crate::config::{CounterMode, ProtocolConfig};
 use crate::error::ProtocolError;
 use crate::evict::build_revoke;
-use crate::forward::{
-    e2e_open_with, seal_setup_with, unwrap_in, wrap_frame, CounterWindow, SealerCache,
-};
+use crate::forward::{e2e_open_with, seal_setup, unwrap_in, wrap_frame, CounterWindow};
 use crate::fusion::DedupCache;
+use crate::key_table::KeyTable;
 use crate::msg::{ClusterId, DataUnit, Inner, Message};
 use crate::node::{DropCounts, LINK_PHASE_AT};
 use crate::persist::{BsSnapshot, StateMutation, SEQ_RESERVE_STRIDE};
@@ -68,12 +67,12 @@ pub struct BaseStation {
     id: u32,
     /// Master key (the BS is trusted; it keeps `Km`).
     km: Key128,
-    /// Own singleton-cluster key (`F(KMC, id)`).
-    own_kc: Key128,
-    /// `id -> Ki` registry.
-    registry: HashMap<u32, Key128>,
-    /// Every potential cluster key, rolled forward on refresh.
-    cluster_keys: HashMap<ClusterId, Key128>,
+    /// `id -> Ki` registry, each entry with its cipher schedule.
+    registry: KeyTable,
+    /// Every potential cluster key, rolled forward on refresh, each with
+    /// its cipher schedule. Holds the BS's own singleton-cluster key
+    /// (`F(KMC, id)`) under its id.
+    cluster_keys: KeyTable,
     /// Revocation chain (BS side).
     chain: KeyChain,
     /// Next revocation sequence number.
@@ -98,9 +97,6 @@ pub struct BaseStation {
     /// Duplicate suppression: the same unit arriving over several forwarding
     /// paths is processed once.
     dedup: DedupCache,
-    /// Cached cipher schedules — the BS opens traffic under every cluster
-    /// key and every `Ki`, so this cache is the hottest in the network.
-    sealers: SealerCache,
     /// When the BS last answered a RouteRequest (recovery-layer rate
     /// limiting, mirrors the sensors' cooldown).
     last_route_reply: Option<wsn_sim::event::SimTime>,
@@ -133,17 +129,17 @@ impl BaseStation {
         cluster_keys: HashMap<ClusterId, Key128>,
         chain: KeyChain,
     ) -> Self {
-        let own_kc = *cluster_keys
-            .get(&id)
-            .expect("BS id must be in the cluster-key map");
+        assert!(
+            cluster_keys.contains_key(&id),
+            "BS id must be in the cluster-key map"
+        );
         let dedup = DedupCache::new(cfg.dedup_cache);
         BaseStation {
             cfg,
             id,
             km,
-            own_kc,
-            registry,
-            cluster_keys,
+            registry: KeyTable::new(registry),
+            cluster_keys: KeyTable::new(cluster_keys),
             chain,
             revoke_seq: 0,
             pending_revocations: Vec::new(),
@@ -154,7 +150,6 @@ impl BaseStation {
             epoch: 0,
             link_advertised: false,
             dedup,
-            sealers: SealerCache::new(),
             last_route_reply: None,
             rx_scratch: Vec::new(),
             journal: None,
@@ -180,6 +175,22 @@ impl BaseStation {
         &self.evicted
     }
 
+    /// The BS's own singleton-cluster key.
+    fn own_kc(&self) -> Key128 {
+        self.cluster_keys
+            .get(self.id)
+            .expect("the BS's own cluster key is never removed")
+    }
+
+    /// Marks `nodes` evicted and drops the schedules built from their
+    /// `Ki`: the station refuses their Step-1 traffic from now on.
+    fn evict(&mut self, nodes: &[u32]) {
+        for &n in nodes {
+            self.registry.forget_schedule(n);
+        }
+        self.evicted.extend_from_slice(nodes);
+    }
+
     /// Queues a revocation command for the given clusters and marks the
     /// member nodes evicted. Fired on the next [`TIMER_REVOKE`].
     pub fn queue_revocation(&mut self, cids: Vec<ClusterId>, compromised_nodes: Vec<u32>) {
@@ -187,7 +198,7 @@ impl BaseStation {
             cids: cids.clone(),
             nodes: compromised_nodes.clone(),
         });
-        self.evicted.extend(compromised_nodes);
+        self.evict(&compromised_nodes);
         self.pending_revocations.push(cids);
     }
 
@@ -195,10 +206,7 @@ impl BaseStation {
     /// tracks the network's epoch).
     pub fn apply_hash_refresh(&mut self) {
         self.record(|| StateMutation::EpochRatchet);
-        for kc in self.cluster_keys.values_mut() {
-            *kc = refresh::hash_step(kc);
-        }
-        self.own_kc = self.cluster_keys[&self.id];
+        self.cluster_keys.update_all(refresh::hash_step);
         self.epoch += 1;
     }
 
@@ -215,7 +223,7 @@ impl BaseStation {
     /// the sink now serving the node. `None` if this sink does not hold
     /// the node's entry.
     pub fn take_node_state(&mut self, node: u32) -> Option<crate::sink::SinkNodeState> {
-        let ki = self.registry.remove(&node)?;
+        let ki = self.registry.remove(node)?;
         let window = self.windows.remove(&node).unwrap_or_default();
         self.record(|| StateMutation::RehomeOut { node });
         Some(crate::sink::SinkNodeState {
@@ -245,7 +253,7 @@ impl BaseStation {
     /// acknowledged the install — between the two steps both sinks hold
     /// the entry, so a lost datagram can never lose it.
     pub fn copy_node_state(&self, node: u32) -> Option<crate::sink::SinkNodeState> {
-        let ki = self.registry.get(&node).copied()?;
+        let ki = self.registry.get(node)?;
         let window = self.windows.get(&node).cloned().unwrap_or_default();
         Some(crate::sink::SinkNodeState {
             id: node,
@@ -281,9 +289,7 @@ impl BaseStation {
     /// (ascending) — the conservation invariant across handoffs and
     /// failovers is that the union over sinks never loses an id.
     pub fn registered_nodes(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.registry.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.registry.ids()
     }
 
     /// Installs an out-of-band-learned cluster key (re-cluster refresh:
@@ -292,9 +298,6 @@ impl BaseStation {
     pub fn set_cluster_key(&mut self, cid: ClusterId, kc: Key128) {
         self.record(|| StateMutation::ClusterKey { cid, kc });
         self.cluster_keys.insert(cid, kc);
-        if cid == self.id {
-            self.own_kc = kc;
-        }
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -343,13 +346,11 @@ impl BaseStation {
             });
             return;
         }
-        let Some(ki) = self.registry.get(&unit.src).copied() else {
+        // One schedule serves every candidate counter below.
+        let Some(ae) = self.registry.sealer(unit.src) else {
             self.drops.unknown_cluster += 1;
             return;
         };
-        // One cached sealer serves every candidate counter below — the
-        // implicit-mode window loop used to rebuild it per attempt.
-        let ae = self.sealers.get(&ki);
         let window = self.windows.entry(unit.src).or_default();
         let accepted = match (self.cfg.counter_mode, unit.ctr) {
             (CounterMode::Explicit, Some(ctr)) => {
@@ -402,12 +403,12 @@ impl BaseStation {
         nonce: u64,
         sealed: &[u8],
     ) {
-        let Some(key) = self.cluster_keys.get(&cid).copied() else {
+        let Some(ae) = self.cluster_keys.sealer(cid) else {
             self.drops.unknown_cluster += 1;
             return;
         };
         let result = unwrap_in(
-            self.sealers.get(&key),
+            ae,
             cid,
             nonce,
             sealed,
@@ -424,7 +425,10 @@ impl BaseStation {
                         // the key it arrived under: honest forwarders must
                         // stop retransmitting regardless of what end-to-end
                         // validation decides.
-                        self.send_ack(ctx, cid, &key, unit.dedup_key());
+                        let ack = Inner::Ack {
+                            key: unit.dedup_key(),
+                        };
+                        self.broadcast_wrapped(ctx, cid, &ack);
                     }
                     self.accept_data(unit);
                 }
@@ -437,24 +441,17 @@ impl BaseStation {
                         // The gradient root itself is always a viable next
                         // hop: answer with a hops-0 beacon under the
                         // requester's cluster key.
-                        let seq = self.next_seq();
-                        let frame = wrap_frame(
-                            self.sealers.get(&key),
-                            cid,
-                            self.id,
-                            seq,
-                            ctx.now(),
-                            Gradient::at(0).hops(),
-                            &Inner::Beacon,
-                        );
-                        ctx.broadcast(frame);
+                        self.broadcast_wrapped(ctx, cid, &Inner::Beacon);
                         self.last_route_reply = Some(ctx.now());
                     }
                 }
                 Inner::SinkData { sink, unit } => {
                     if self.cfg.sinks.enabled && sink == self.id {
                         if self.cfg.recovery.enabled {
-                            self.send_ack(ctx, cid, &key, unit.dedup_key());
+                            let ack = Inner::Ack {
+                                key: unit.dedup_key(),
+                            };
+                            self.broadcast_wrapped(ctx, cid, &ack);
                         }
                         self.accept_data(unit);
                     }
@@ -479,18 +476,23 @@ impl BaseStation {
         }
     }
 
-    /// Emits a hop-by-hop ACK under the key the acknowledged frame arrived
-    /// under (recovery layer).
-    fn send_ack(&mut self, ctx: &mut impl Transport, cid: ClusterId, key: &Key128, ack_key: u64) {
+    /// Broadcasts `inner` from the gradient root (hops 0), wrapped under
+    /// the key of cluster `cid`: the BS's own for its beacons, and for
+    /// replies the key the answered frame arrived under.
+    fn broadcast_wrapped(&mut self, ctx: &mut impl Transport, cid: ClusterId, inner: &Inner) {
         let seq = self.next_seq();
+        let ae = self
+            .cluster_keys
+            .sealer(cid)
+            .expect("the BS wraps only under cluster keys it holds");
         let frame = wrap_frame(
-            self.sealers.get(key),
+            ae,
             cid,
             self.id,
             seq,
             ctx.now(),
             Gradient::at(0).hops(),
-            &Inner::Ack { key: ack_key },
+            inner,
         );
         ctx.broadcast(frame);
     }
@@ -531,12 +533,6 @@ impl BaseStation {
     /// Cuts a full snapshot of the durable state (a WAL compaction
     /// point). Maps are sorted so equal states snapshot byte-identically.
     pub fn snapshot(&self) -> BsSnapshot {
-        let mut registry: Vec<(u32, Key128)> =
-            self.registry.iter().map(|(k, v)| (*k, *v)).collect();
-        registry.sort_unstable_by_key(|(id, _)| *id);
-        let mut cluster_keys: Vec<(ClusterId, Key128)> =
-            self.cluster_keys.iter().map(|(k, v)| (*k, *v)).collect();
-        cluster_keys.sort_unstable_by_key(|(cid, _)| *cid);
         let mut windows: Vec<(u32, Option<u64>)> = self
             .windows
             .iter()
@@ -550,8 +546,8 @@ impl BaseStation {
             revoke_seq: self.revoke_seq,
             chain_next: self.chain.position() as u32,
             link_advertised: self.link_advertised,
-            registry,
-            cluster_keys,
+            registry: self.registry.sorted(),
+            cluster_keys: self.cluster_keys.sorted(),
             windows,
             evicted: self.evicted.clone(),
             pending_revocations: self.pending_revocations.clone(),
@@ -573,9 +569,10 @@ impl BaseStation {
     ) -> Self {
         chain.skip_to(snap.chain_next as usize);
         let cluster_keys: HashMap<ClusterId, Key128> = snap.cluster_keys.into_iter().collect();
-        let own_kc = *cluster_keys
-            .get(&snap.id)
-            .expect("snapshot must carry the BS's own cluster key");
+        assert!(
+            cluster_keys.contains_key(&snap.id),
+            "snapshot must carry the BS's own cluster key"
+        );
         let dedup = DedupCache::new(cfg.dedup_cache);
         let windows = snap
             .windows
@@ -592,9 +589,8 @@ impl BaseStation {
             cfg,
             id: snap.id,
             km,
-            own_kc,
-            registry: snap.registry.into_iter().collect(),
-            cluster_keys,
+            registry: KeyTable::new(snap.registry.into_iter().collect()),
+            cluster_keys: KeyTable::new(cluster_keys),
             chain,
             revoke_seq: snap.revoke_seq,
             pending_revocations: snap.pending_revocations,
@@ -605,7 +601,6 @@ impl BaseStation {
             epoch: snap.epoch,
             link_advertised: snap.link_advertised,
             dedup,
-            sealers: SealerCache::new(),
             last_route_reply: None,
             rx_scratch: Vec::new(),
             journal: None,
@@ -628,14 +623,11 @@ impl BaseStation {
                 self.cluster_keys.insert(*id, *kc);
             }
             StateMutation::EpochRatchet => {
-                for kc in self.cluster_keys.values_mut() {
-                    *kc = refresh::hash_step(kc);
-                }
-                self.own_kc = self.cluster_keys[&self.id];
+                self.cluster_keys.update_all(refresh::hash_step);
                 self.epoch += 1;
             }
             StateMutation::RevokeQueued { cids, nodes } => {
-                self.evicted.extend_from_slice(nodes);
+                self.evict(nodes);
                 self.pending_revocations.push(cids.clone());
             }
             StateMutation::RevokeFired { seq, two_phase } => {
@@ -659,12 +651,9 @@ impl BaseStation {
             }
             StateMutation::ClusterKey { cid, kc } => {
                 self.cluster_keys.insert(*cid, *kc);
-                if *cid == self.id {
-                    self.own_kc = *kc;
-                }
             }
             StateMutation::RehomeOut { node } => {
-                self.registry.remove(node);
+                self.registry.remove(*node);
                 self.windows.remove(node);
             }
             StateMutation::RehomeIn { node, ki, last_ctr } => {
@@ -710,14 +699,10 @@ impl BaseStation {
             TIMER_BS_LINK => {
                 self.record(|| StateMutation::LinkAdvertised);
                 self.link_advertised = true;
+                // Sent once per station lifetime: the `Km` schedule is
+                // built for it and not kept.
                 let seq = self.next_seq();
-                let (nonce, sealed) = seal_setup_with(
-                    self.sealers.get(&self.km),
-                    self.id,
-                    seq,
-                    self.id,
-                    &self.own_kc,
-                );
+                let (nonce, sealed) = seal_setup(&self.km, self.id, seq, self.id, &self.own_kc());
                 ctx.broadcast(Message::LinkAdvert { nonce, sealed }.encode());
             }
             TIMER_BEACON => {
@@ -729,17 +714,7 @@ impl BaseStation {
                 } else {
                     Inner::Beacon
                 };
-                let seq = self.next_seq();
-                let frame = wrap_frame(
-                    self.sealers.get(&self.own_kc),
-                    self.id,
-                    self.id,
-                    seq,
-                    ctx.now(),
-                    Gradient::at(0).hops(),
-                    &inner,
-                );
-                ctx.broadcast(frame);
+                self.broadcast_wrapped(ctx, self.id, &inner);
             }
             TIMER_BS_AUTO_REFRESH => {
                 self.apply_hash_refresh();
@@ -823,9 +798,71 @@ impl App for BaseStation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::e2e_seal;
+    use crate::forward::{e2e_seal, e2e_seal_with, sealer};
     use crate::keys::Provisioner;
     use bytes::Bytes;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wsn_crypto::authenc::AuthEnc;
+
+    /// Drives the station directly: clock at 0, seeded RNG, frames kept.
+    struct Outbox {
+        rng: StdRng,
+        sent: Vec<Bytes>,
+    }
+
+    impl Outbox {
+        fn new() -> Self {
+            Outbox {
+                rng: StdRng::seed_from_u64(1),
+                sent: Vec::new(),
+            }
+        }
+    }
+
+    impl Transport for Outbox {
+        fn id(&self) -> NodeId {
+            0
+        }
+
+        fn now(&self) -> SimTime {
+            0
+        }
+
+        fn rng(&mut self) -> &mut StdRng {
+            &mut self.rng
+        }
+
+        fn broadcast(&mut self, payload: Bytes) {
+            self.sent.push(payload);
+        }
+
+        fn send(&mut self, _to: NodeId, payload: Bytes) {
+            self.sent.push(payload);
+        }
+
+        fn set_timer(&mut self, _key: TimerKey, _delay: SimTime) {}
+
+        fn cancel_timer(&mut self, _key: TimerKey) {}
+    }
+
+    /// The Step-2 frame of mote `src`, heading its own cluster, around its
+    /// Step-1 sealed reading under explicit counter `ctr`; `ki` and `kc`
+    /// are the mote's schedules.
+    fn reading(ki: &AuthEnc, kc: &AuthEnc, src: u32, ctr: u64) -> Bytes {
+        let unit = DataUnit {
+            src,
+            ctr: Some(ctr),
+            sealed: true,
+            body: e2e_seal_with(ki, src, ctr, b"r"),
+        };
+        wrap_frame(kc, src, src, ctr, 0, 1, &Inner::Data(unit))
+    }
+
+    /// Builds a station's schedules, counting both tables.
+    fn builds(bs: &BaseStation) -> u64 {
+        bs.registry.builds() + bs.cluster_keys.builds()
+    }
 
     fn bs_with(cfg: ProtocolConfig) -> (BaseStation, Provisioner) {
         let mut p = Provisioner::new(7);
@@ -942,11 +979,11 @@ mod tests {
     #[test]
     fn hash_refresh_keeps_own_key_synced() {
         let (mut bs, p) = bs_with(ProtocolConfig::default());
-        let before = bs.own_kc;
+        let before = bs.own_kc();
         bs.apply_hash_refresh();
         assert_eq!(bs.epoch(), 1);
-        assert_ne!(bs.own_kc, before);
-        assert_eq!(bs.own_kc, refresh::cluster_key_at_epoch(&p.kmc(), 0, 1));
+        assert_ne!(bs.own_kc(), before);
+        assert_eq!(bs.own_kc(), refresh::cluster_key_at_epoch(&p.kmc(), 0, 1));
     }
 
     #[test]
@@ -1016,6 +1053,89 @@ mod tests {
         bs.accept_data(sealed_unit(&p, 2, 0, b"r0", false));
         bs.apply_hash_refresh();
         assert!(bs.drain_journal().is_empty());
+    }
+
+    #[test]
+    fn warm_station_builds_no_schedule() {
+        // Every mote heads its own cluster, so the station opens traffic
+        // under 2 x MOTES keys: more than twice the 4096 schedules a
+        // clear-when-full cache keyed by base key would hold.
+        const MOTES: u32 = 5_000;
+        let mut p = Provisioner::new(11);
+        for id in 0..=MOTES {
+            p.provision(id);
+        }
+        let cluster_keys = (0..=MOTES).map(|i| (i, p.cluster_key_of(i))).collect();
+        let cfg = ProtocolConfig::default().with_counter_mode(CounterMode::Explicit);
+        let mut bs = BaseStation::new(
+            cfg,
+            0,
+            p.km(),
+            p.registry().clone(),
+            cluster_keys,
+            p.revocation_chain(),
+        );
+        let motes: Vec<(AuthEnc, AuthEnc)> = (1..=MOTES)
+            .map(|id| (sealer(&p.node_key(id)), sealer(&p.cluster_key_of(id))))
+            .collect();
+        let mut ctx = Outbox::new();
+        for ctr in 0..2 {
+            for (src, (ki, kc)) in (1..).zip(&motes) {
+                bs.dispatch_message(&mut ctx, &reading(ki, kc, src, ctr));
+            }
+            assert_eq!(bs.received.len(), ((ctr + 1) * MOTES as u64) as usize);
+            // The first pass builds one schedule per key; the second none.
+            assert_eq!(builds(&bs), 2 * MOTES as u64, "after pass {ctr}");
+        }
+        // Schedule memory is bounded by the entries served.
+        assert_eq!(bs.registry.schedules(), MOTES as usize);
+        assert_eq!(bs.cluster_keys.schedules(), MOTES as usize);
+        assert!(bs.registry.len() > MOTES as usize && bs.cluster_keys.len() > MOTES as usize);
+    }
+
+    #[test]
+    fn departed_and_refreshed_keys_leave_no_schedule() {
+        let cfg = ProtocolConfig::default().with_counter_mode(CounterMode::Explicit);
+        let (mut bs, p) = bs_with(cfg);
+        let mut ctx = Outbox::new();
+        let (k2, c2) = (sealer(&p.node_key(2)), sealer(&p.cluster_key_of(2)));
+        let (k3, c3) = (sealer(&p.node_key(3)), sealer(&p.cluster_key_of(3)));
+        bs.dispatch_message(&mut ctx, &reading(&k2, &c2, 2, 0));
+        bs.dispatch_message(&mut ctx, &reading(&k3, &c3, 3, 0));
+        assert_eq!(bs.received.len(), 2);
+        assert!(bs.registry.has_schedule(2) && bs.registry.has_schedule(3));
+
+        // Handed off: the entry and its schedule leave together, and the
+        // node's readings are refused as from an unknown source.
+        let state = bs.take_node_state(2).unwrap();
+        assert!(!bs.registry.has_schedule(2));
+        bs.dispatch_message(&mut ctx, &reading(&k2, &c2, 2, 1));
+        assert_eq!((bs.received.len(), bs.drops.unknown_cluster), (2, 1));
+        assert!(!bs.registry.has_schedule(2));
+        // Handed back: served again.
+        bs.install_node_state(state);
+        bs.dispatch_message(&mut ctx, &reading(&k2, &c2, 2, 2));
+        assert_eq!(bs.received.len(), 3);
+
+        // Evicted: the schedule goes (the key stays for the snapshot), and
+        // the node's readings are refused without rebuilding it.
+        bs.queue_revocation(vec![3], vec![3]);
+        assert!(!bs.registry.has_schedule(3));
+        bs.dispatch_message(&mut ctx, &reading(&k3, &c3, 3, 1));
+        assert_eq!((bs.received.len(), bs.drops.wrong_phase), (3, 1));
+        assert!(!bs.registry.has_schedule(3));
+
+        // Hash refresh drops every cluster schedule: frames under the old
+        // Kc fail, frames under the new one verify.
+        bs.apply_hash_refresh();
+        assert_eq!(bs.cluster_keys.schedules(), 0);
+        bs.dispatch_message(&mut ctx, &reading(&k2, &c2, 2, 3));
+        assert_eq!((bs.received.len(), bs.drops.bad_auth), (3, 1));
+        let c2_next = sealer(&refresh::hash_step(&p.cluster_key_of(2)));
+        bs.dispatch_message(&mut ctx, &reading(&k2, &c2_next, 2, 4));
+        assert_eq!(bs.received.len(), 4);
+        assert_eq!(bs.received[3].ctr, Some(4));
+        assert!(ctx.sent.is_empty());
     }
 
     #[test]

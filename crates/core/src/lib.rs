@@ -56,6 +56,7 @@ pub mod evict;
 pub mod forward;
 pub mod fusion;
 pub mod join;
+mod key_table;
 pub mod keys;
 pub mod msg;
 pub mod node;

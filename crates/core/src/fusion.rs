@@ -20,12 +20,15 @@ pub struct DedupCache {
 }
 
 impl DedupCache {
-    /// Creates a cache remembering the last `capacity` keys.
+    /// Creates a cache remembering the last `capacity` keys. Nothing is
+    /// allocated until the first insert: most nodes of a large network
+    /// never see a reading, and the storage grows to the bound only where
+    /// traffic flows.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         DedupCache {
-            set: HashSet::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
+            set: HashSet::new(),
+            order: VecDeque::new(),
             capacity,
         }
     }
@@ -127,6 +130,20 @@ mod tests {
         assert!(c.contains(3));
         // 1 is forwardable again after eviction.
         assert!(c.insert(1));
+    }
+
+    #[test]
+    fn fresh_cache_allocates_nothing_and_keeps_fifo_order() {
+        let mut c = DedupCache::new(256);
+        assert_eq!((c.set.capacity(), c.order.capacity()), (0, 0));
+        for k in 0..300 {
+            assert!(c.insert(k));
+        }
+        // The 44 oldest keys left first-in first-out; the rest remain.
+        assert_eq!(c.len(), 256);
+        assert!((0..44).all(|k| !c.contains(k)));
+        assert!((44..300).all(|k| c.contains(k)));
+        assert_eq!(c.order.front(), Some(&44));
     }
 
     #[test]
